@@ -8,8 +8,10 @@ TGLINT := bin/tglint
 
 # Benchmarks that feed BENCH_harness.json: the parallel-harness sweep pair,
 # the sharded-core throughput pair, the scheduler-daemon wire cycle, and
-# the fast-path micro-benchmarks.
-BENCH_PATTERN := SweepFig4|SimulatorThroughput|ShardedClusterThroughput|SchedulerDo|OnlineCDFAdd|DeadlineEstimation|TgdEnqueueClaim|ControlLoopOverhead
+# the fast-path micro-benchmarks (DeadlineEstimation also matches the
+# RunParallel budget-lookup variant; EngineEvent is the wheel/heap pair
+# at 41 and 4096 pending events).
+BENCH_PATTERN := SweepFig4|SimulatorThroughput|ShardedClusterThroughput|SchedulerDo|OnlineCDFAdd|DeadlineEstimation|EngineEvent|TgdEnqueueClaim|ControlLoopOverhead
 
 all: build
 
@@ -47,8 +49,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Every test at 1, 2 and 4 procs: a core-count-dependent failure (the
+# nil-pool panic in internal/parallel only fired with >= 2) cannot hide
+# behind a single GOMAXPROCS, or behind the test cache of another one.
 test:
-	$(GO) test ./...
+	$(GO) test -cpu 1,2,4 ./...
 
 race:
 	$(GO) test -race ./...
@@ -142,7 +147,7 @@ control-smoke:
 	$(GO) test ./internal/experiment -run 'TestControlSmokeGolden|TestControlHoldsSLO' -count=1
 	$(GO) run ./cmd/tgsim -exp flashcrowd -control -queries 800 > /dev/null
 
-ci: build fmt vet lint race bench-smoke obs-smoke fault-smoke shard-smoke perf-smoke tgd-smoke control-smoke
+ci: build fmt vet lint test race bench-smoke obs-smoke fault-smoke shard-smoke perf-smoke tgd-smoke control-smoke
 
 clean:
 	rm -rf bin

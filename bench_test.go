@@ -10,6 +10,7 @@ package tailguard
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -23,6 +24,7 @@ import (
 	"tailguard/internal/request"
 	"tailguard/internal/saas"
 	"tailguard/internal/sched"
+	"tailguard/internal/sim"
 	"tailguard/internal/tgd"
 	"tailguard/internal/workload"
 )
@@ -336,7 +338,9 @@ func BenchmarkSweepFig4Parallel(b *testing.B) {
 
 // --- Fast-path micro-benchmarks ------------------------------------------
 
-func BenchmarkDeadlineEstimationCached(b *testing.B) {
+// benchDeadliner is the two-class TF-EDFQ Deadliner on a 100-server
+// masstree estimator that the cached-lookup benchmarks share.
+func benchDeadliner(b *testing.B) *core.Deadliner {
 	w := dist.MustTailbenchWorkload("masstree")
 	est, err := core.NewHomogeneousStaticTailEstimator(w.ServiceTime, 100)
 	if err != nil {
@@ -350,11 +354,72 @@ func BenchmarkDeadlineEstimationCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return dl
+}
+
+func BenchmarkDeadlineEstimationCached(b *testing.B) {
+	dl := benchDeadliner(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dl.Deadline(float64(i), i%2, 100); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeadlineEstimationCachedParallel is the shared-Deadliner
+// shape of tgd and saas: every request goroutine looks budgets up on
+// one Deadliner, so the figure includes whatever the lookup contends on.
+func BenchmarkDeadlineEstimationCachedParallel(b *testing.B) {
+	dl := benchDeadliner(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := dl.Deadline(float64(i), i%2, 100); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+}
+
+// BenchmarkEngineEvent is one ScheduleCallAfter + Step on an engine held
+// at a fixed number of pending events, with service-time-shaped delays:
+// 41 is what 100 servers at load 0.40 hold (one completion per busy
+// server plus the next arrival), 4096 a large cluster. The wheel/heap
+// pair puts the crossover between the two event queues on the books.
+func BenchmarkEngineEvent(b *testing.B) {
+	w := dist.MustTailbenchWorkload("masstree")
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]float64, 4096)
+	for i := range delays {
+		delays[i] = w.ServiceTime.Sample(rng)
+	}
+	noop := func(any, float64) {}
+	for _, eng := range []struct {
+		name string
+		mk   func() *sim.Engine
+	}{{"wheel", sim.NewEngine}, {"heap", sim.NewHeapEngine}} {
+		for _, pending := range []int{41, 4096} {
+			b.Run(fmt.Sprintf("%s/pending=%d", eng.name, pending), func(b *testing.B) {
+				en := eng.mk()
+				for i := 0; i < pending; i++ {
+					if err := en.ScheduleCallAfter(delays[i%len(delays)], noop, nil, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := en.ScheduleCallAfter(delays[i%len(delays)], noop, nil, 0); err != nil {
+						b.Fatal(err)
+					}
+					en.Step()
+				}
+			})
 		}
 	}
 }

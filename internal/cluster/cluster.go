@@ -912,7 +912,9 @@ func (r *runner) serviceDist(s int) dist.Distribution {
 
 // deadlineForQuery computes the task queuing deadline for a query under
 // cfg, honoring per-query budget overrides (the request-level extension).
-func deadlineForQuery(cfg *Config, q workload.Query) (float64, error) {
+//
+//tg:hotpath
+func deadlineForQuery(cfg *Config, q *workload.Query) (float64, error) {
 	if q.HasBudget {
 		return q.Arrival + q.Budget, nil
 	}
@@ -1027,7 +1029,7 @@ func (r *runner) onArrival(q workload.Query, injected bool) {
 		r.res.TimelineAdmitted[r.timelineBucket(q.Arrival)]++
 	}
 
-	deadline, err := r.deadlineFor(q)
+	deadline, err := deadlineForQuery(&r.cfg, &q)
 	if err != nil {
 		r.fail(fmt.Errorf("cluster: deadline for query %d: %w", q.ID, err))
 		return
@@ -1165,12 +1167,6 @@ func (r *runner) resume(s int) {
 // timelineBucket maps an arrival time onto its timeline bucket.
 func (r *runner) timelineBucket(arrival float64) int {
 	return int(arrival / r.cfg.TimelineBucketMs)
-}
-
-// deadlineFor computes the task queuing deadline for a query, honoring
-// per-query budget overrides (the request-level extension).
-func (r *runner) deadlineFor(q workload.Query) (float64, error) {
-	return deadlineForQuery(&r.cfg, q)
 }
 
 // startService begins serving a task on an idle server.

@@ -530,7 +530,7 @@ func (p *shardPump) emitQuery(b *shardBatch) error {
 	if p.timelineAdmitted != nil {
 		p.timelineAdmitted[int(q.Arrival/cfg.TimelineBucketMs)]++
 	}
-	deadline, err := deadlineForQuery(cfg, q)
+	deadline, err := deadlineForQuery(cfg, &q)
 	if err != nil {
 		return fmt.Errorf("cluster: deadline for query %d: %w", q.ID, err) //tg:cold config error
 	}

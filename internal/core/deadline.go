@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"tailguard/internal/workload"
 )
@@ -10,11 +12,53 @@ import (
 // Deadliner computes task queuing deadlines for queries. One Deadliner is
 // shared by all task queues of a cluster (queuing may be central or
 // per-server; the deadline is a property of the query either way).
+//
+// Budgets are served from a dense [class][fanout] table published
+// through one atomic pointer, so the steady-state lookup — the paper's
+// "lightweight" deadline estimation — is three atomic loads and an index,
+// with no lock and no hashing, from any number of goroutines. Entries are
+// filled lazily, one per miss, under mu (a fresh Deadliner does no work
+// until its first Budget call, which is what keeps a sweep's per-probe
+// set-up flat). The table is stamped with the estimator epoch it was
+// computed at: when an online CDF's version advances the epoch moves on,
+// the table is no longer served, and the next miss starts a new one.
+//
+// A Deadliner is safe for concurrent use and must not be copied.
 type Deadliner struct {
 	spec      Spec
 	estimator *TailEstimator
 	classes   *workload.ClassSet
+
+	table atomic.Pointer[budgetTable]
+	mu    sync.Mutex // serializes table writers; readers never take it
 }
+
+// budgetTable holds the budgets computed at one estimator epoch. Its
+// shape and epoch never change once it is published; an entry changes
+// exactly once, from unfilled to its budget (an atomic store under
+// Deadliner.mu), so a reader needs no lock: whatever it loads is either
+// "not here yet" or the right answer. A table that must widen, or whose
+// epoch has passed, is replaced, not edited.
+type budgetTable struct {
+	epoch uint64          // estimator epoch the entries were computed at
+	rows  int             // one row per class
+	cols  int             // entries per row: fanouts 1..cols
+	b     []atomic.Uint64 // row-major, encoded by entryOf; 0 marks an entry not computed yet
+}
+
+// entryOf encodes a budget as a table entry: its bits XOR a NaN's, so
+// that the zeroed memory a new table starts as reads "not computed yet"
+// everywhere. No budget encodes to 0 — that would be the NaN itself, and
+// a NaN budget is answered per call, never stored. budgetOf decodes.
+func entryOf(b float64) uint64  { return math.Float64bits(b) ^ nanBits }
+func budgetOf(e uint64) float64 { return math.Float64frombits(e ^ nanBits) }
+
+const nanBits = 0x7ff8_0000_0000_0001
+
+// maxTableFanout bounds the table's width, and with it what a fanout
+// arriving over the wire can make a miss allocate. Larger fanouts are
+// legal; they are computed on every call instead of cached.
+const maxTableFanout = 1 << 16
 
 // NewDeadliner builds the deadline calculator for the given policy. The
 // estimator may be nil for DeadlineNone policies; classes are always
@@ -42,7 +86,107 @@ func (d *Deadliner) Spec() Spec { return d.spec }
 // A negative budget is legal: it means the SLO is unreachable even with
 // zero queuing for this fanout; EDF then simply schedules the task as
 // maximally urgent.
+//
+//tg:hotpath
 func (d *Deadliner) Budget(classID, fanout int) (float64, error) {
+	if b, ok := d.lookup(classID, fanout); ok {
+		return b, nil
+	}
+	return d.fill(classID, fanout)
+}
+
+// column maps a fanout to its table column. Only the fanout rule's
+// budgets depend on the fanout; the other rules keep one column.
+//
+//tg:hotpath
+func (d *Deadliner) column(fanout int) int {
+	if d.spec.Deadline != DeadlineSLOFanout {
+		return 0
+	}
+	return fanout - 1
+}
+
+// lookup is the hit path: the current table, if it was computed at the
+// estimator's current epoch and holds the entry.
+//
+//tg:hotpath
+func (d *Deadliner) lookup(classID, fanout int) (float64, bool) {
+	t := d.table.Load()
+	if t == nil || t.epoch != d.estimator.Epoch() {
+		return 0, false
+	}
+	col := d.column(fanout)
+	if uint(col) >= uint(t.cols) || uint(classID) >= uint(t.rows) {
+		return 0, false
+	}
+	e := t.b[classID*t.cols+col].Load()
+	return budgetOf(e), e != 0
+}
+
+// fill is the miss handler: it computes one budget and stores it in the
+// table, first replacing the table if its epoch has passed or it is too
+// narrow. Errors (bad class, fanout < 1) and fanouts past maxTableFanout
+// are answered without touching the table.
+func (d *Deadliner) fill(classID, fanout int) (float64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if b, ok := d.lookup(classID, fanout); ok {
+		return b, nil // another goroutine filled it while this one waited
+	}
+	// The epoch is read before the quantile: if an observation lands in
+	// between, the entry goes into a table stamped with the older epoch
+	// and the next lookup misses again rather than serving a
+	// pre-observation value as current.
+	epoch := d.estimator.Epoch()
+	b, err := d.compute(classID, fanout)
+	col := d.column(fanout)
+	if err != nil || col >= maxTableFanout || math.IsNaN(b) {
+		return b, err
+	}
+	t := d.table.Load()
+	replace := t == nil || t.epoch != epoch || col >= t.cols
+	if replace {
+		t = d.nextTable(t, epoch, col)
+	}
+	t.b[classID*t.cols+col].Store(entryOf(b))
+	if replace {
+		d.table.Store(t)
+	}
+	return b, nil
+}
+
+// nextTable returns an empty table for epoch wide enough for column col,
+// carrying over old's entries if they are of the same epoch. A table
+// starts as wide as the cluster — in the simulator a query cannot fan
+// out wider, so it is never replaced within an epoch — and doubles when
+// a wider fanout does turn up (tgd's estimator models one server while
+// its fanouts run to MaxFanout). The width outlives an epoch: the
+// fanouts in use do not change with it.
+func (d *Deadliner) nextTable(old *budgetTable, epoch uint64, col int) *budgetTable {
+	cols := 1
+	if d.spec.Deadline == DeadlineSLOFanout {
+		cols = min(d.estimator.Servers(), maxTableFanout)
+	}
+	if old != nil {
+		cols = max(cols, old.cols)
+	}
+	if col >= cols {
+		cols = min(max(col+1, 2*cols), maxTableFanout)
+	}
+	t := &budgetTable{epoch: epoch, rows: d.classes.Len(), cols: cols}
+	t.b = make([]atomic.Uint64, t.rows*cols)
+	if old != nil && old.epoch == epoch {
+		for r := 0; r < t.rows; r++ {
+			for c := 0; c < old.cols; c++ {
+				t.b[r*cols+c].Store(old.b[r*old.cols+c].Load())
+			}
+		}
+	}
+	return t
+}
+
+// compute evaluates the deadline rule directly, with no table involved.
+func (d *Deadliner) compute(classID, fanout int) (float64, error) {
 	cls, err := d.classes.Class(classID)
 	if err != nil {
 		return 0, err
@@ -87,6 +231,8 @@ func (d *Deadliner) BudgetServers(classID int, servers []int) (float64, error) {
 }
 
 // Deadline returns tD = t0 + T_b for a query arriving at t0 (Eqn. 6).
+//
+//tg:hotpath
 func (d *Deadliner) Deadline(t0 float64, classID, fanout int) (float64, error) {
 	b, err := d.Budget(classID, fanout)
 	if err != nil {

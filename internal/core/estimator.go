@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"tailguard/internal/dist"
 )
@@ -21,22 +21,18 @@ import (
 //     post-queuing time to the owning server's OnlineCDF, capturing
 //     heterogeneity and drift.
 //
-// x_p^u values are cached per (percentile, fanout) and invalidated when
-// the underlying CDFs change (version counters), so deadline estimation is
-// O(1) per query in the steady state — the paper's "lightweight" claim.
+// The estimator computes; it does not cache. Deadliner keeps the derived
+// budgets in a dense table and drops it when Epoch moves on, which is
+// what makes deadline estimation O(1) per query in the steady state —
+// the paper's "lightweight" claim.
 //
 // TailEstimator is safe for concurrent use.
 type TailEstimator struct {
-	mu       sync.Mutex
-	servers  []*dist.OnlineCDF
-	static   []dist.Distribution // non-updating alternative to servers
-	cache    map[tailKey]float64 // guarded by mu
-	cacheVer uint64              // guarded by mu
-}
-
-type tailKey struct {
-	percentile float64
-	fanout     int
+	servers []*dist.OnlineCDF
+	static  []dist.Distribution // non-updating alternative to servers
+	// epoch counts version advances across all online CDFs: one load
+	// tells a consumer whether anything it derived is stale.
+	epoch atomic.Uint64
 }
 
 // NewTailEstimator creates an estimator for n servers, each seeded from
@@ -53,10 +49,7 @@ func NewTailEstimator(n int, offline dist.Distribution, seedSamples, halfLife in
 	if seedSamples < 1 {
 		return nil, fmt.Errorf("core: estimator needs >= 1 seed sample, got %d", seedSamples)
 	}
-	e := &TailEstimator{
-		servers: make([]*dist.OnlineCDF, n),
-		cache:   make(map[tailKey]float64),
-	}
+	e := &TailEstimator{servers: make([]*dist.OnlineCDF, n)}
 	for i := range e.servers {
 		o := dist.NewOnlineCDF(dist.OnlineCDFConfig{HalfLife: halfLife})
 		if err := o.Seed(offline, seedSamples); err != nil {
@@ -81,10 +74,7 @@ func NewStaticTailEstimator(servers []dist.Distribution) (*TailEstimator, error)
 			return nil, fmt.Errorf("core: nil distribution for server %d", i)
 		}
 	}
-	return &TailEstimator{
-		static: append([]dist.Distribution(nil), servers...),
-		cache:  make(map[tailKey]float64),
-	}, nil
+	return &TailEstimator{static: append([]dist.Distribution(nil), servers...)}, nil
 }
 
 // NewHomogeneousStaticTailEstimator is NewStaticTailEstimator with one
@@ -118,7 +108,24 @@ func (e *TailEstimator) Observe(server int, postQueuingMs float64) error {
 	if server < 0 || server >= len(e.servers) {
 		return fmt.Errorf("core: server %d out of range [0, %d)", server, len(e.servers))
 	}
-	return e.servers[server].Add(postQueuingMs)
+	advanced, err := e.servers[server].AddVersioned(postQueuingMs)
+	if advanced {
+		e.epoch.Add(1)
+	}
+	return err
+}
+
+// Epoch returns a counter that moves whenever an online CDF's version
+// advances, i.e. whenever quantities derived from the estimator should
+// be recomputed. It is constant for static estimators, and for the nil
+// estimator of deadline-blind policies.
+//
+//tg:hotpath
+func (e *TailEstimator) Epoch() uint64 {
+	if e == nil {
+		return 0
+	}
+	return e.epoch.Load()
 }
 
 // serverDist returns the current distribution handle for server l.
@@ -129,23 +136,10 @@ func (e *TailEstimator) serverDist(l int) dist.Distribution {
 	return e.servers[l]
 }
 
-// versionSum aggregates the online CDF versions for cache invalidation.
-func (e *TailEstimator) versionSum() uint64 {
-	if e.static != nil {
-		return 0
-	}
-	var v uint64
-	for _, o := range e.servers {
-		v += o.Version()
-	}
-	return v
-}
-
 // XPuFanout returns x_p^u(kf) for a query fanned out to kf servers under
 // the homogeneous assumption, using server 0's distribution as the
-// representative F(t): x_p^u(kf) = F^{-1}(p^{1/kf}) (Eqn. 2). Cached per
-// (p, kf); the cache is dropped whenever any server's online CDF version
-// advances.
+// representative F(t): x_p^u(kf) = F^{-1}(p^{1/kf}) (Eqn. 2). It is the
+// budget table's miss handler: computed on every call, never cached here.
 func (e *TailEstimator) XPuFanout(percentile float64, fanout int) (float64, error) {
 	if fanout < 1 {
 		return 0, fmt.Errorf("core: fanout must be >= 1, got %d", fanout)
@@ -153,28 +147,14 @@ func (e *TailEstimator) XPuFanout(percentile float64, fanout int) (float64, erro
 	if percentile <= 0 || percentile >= 1 {
 		return 0, fmt.Errorf("core: percentile %v outside (0, 1)", percentile)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v := e.versionSum(); v != e.cacheVer {
-		e.cache = make(map[tailKey]float64)
-		e.cacheVer = v
-	}
-	key := tailKey{percentile: percentile, fanout: fanout}
-	if x, ok := e.cache[key]; ok {
-		return x, nil
-	}
-	x, err := dist.HomogeneousQueryQuantile(e.serverDist(0), fanout, percentile)
-	if err != nil {
-		return 0, err
-	}
-	e.cache[key] = x
-	return x, nil
+	return dist.HomogeneousQueryQuantile(e.serverDist(0), fanout, percentile)
 }
 
 // XPuServers returns x_p^u for a query dispatched to the specific server
 // set, using the per-server distributions (the heterogeneous form of
-// Eqns. 1-2). Not cached: server sets vary per query; the bisection cost
-// is still microseconds and only the heterogeneous testbed path uses it.
+// Eqns. 1-2). Not cached: server sets vary per query, so the sched and
+// saas paths pay the bisection on every query — measured at 83 µs for a
+// 4-server set (the benchmark's sched.budget_ns), most of a sched.Do.
 func (e *TailEstimator) XPuServers(percentile float64, servers []int) (float64, error) {
 	if len(servers) == 0 {
 		return 0, fmt.Errorf("core: empty server set")

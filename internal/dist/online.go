@@ -112,8 +112,16 @@ func (o *OnlineCDF) bucketLow(i int) float64 {
 
 // Add records one observed latency. Negative or NaN values are rejected.
 func (o *OnlineCDF) Add(t float64) error {
+	_, err := o.AddVersioned(t)
+	return err
+}
+
+// AddVersioned is Add that also reports whether this observation advanced
+// Version, so a consumer caching derived quantities can keep one counter
+// of its own instead of polling every CDF it reads.
+func (o *OnlineCDF) AddVersioned(t float64) (advanced bool, err error) {
 	if t < 0 || math.IsNaN(t) {
-		return fmt.Errorf("dist: invalid latency observation %v", t)
+		return false, fmt.Errorf("dist: invalid latency observation %v", t)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -121,19 +129,20 @@ func (o *OnlineCDF) Add(t float64) error {
 	o.total++
 	o.sum += t
 	o.adds++
-	if o.decayF > 0 && o.adds%o.cfg.DecayInterval == 0 {
+	if o.adds%o.cfg.DecayInterval != 0 {
+		return false, nil
+	}
+	// Even without decay, bump the version periodically so consumers
+	// caching derived quantities refresh as data accumulates.
+	o.version++
+	if o.decayF > 0 {
 		for i := range o.counts {
 			o.counts[i] *= o.decayF
 		}
 		o.total *= o.decayF
 		o.sum *= o.decayF
-		o.version++
-	} else if o.adds%o.cfg.DecayInterval == 0 {
-		// Even without decay, bump the version periodically so consumers
-		// caching derived quantities refresh as data accumulates.
-		o.version++
 	}
-	return nil
+	return true, nil
 }
 
 // Count returns the current (possibly decayed) total weight.

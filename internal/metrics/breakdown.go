@@ -8,11 +8,16 @@ import "sort"
 // as a whole does not guarantee that queries of individual types can meet
 // the tail latency SLO" (Section IV.B).
 type Breakdown[K comparable] struct {
-	recorders map[K]*LatencyRecorder
-	// keys remembers first-observation order so traversals (Each, Reset)
-	// are deterministic; map iteration order is randomized per run and K
-	// is only comparable, not sortable.
+	// keys and recs are parallel, in first-observation order, so
+	// traversals (Each, Reset) are deterministic (K is only comparable,
+	// not sortable). They are also the index: a breakdown holds a handful
+	// of keys — classes, fanouts, class×fanout types, clusters — and a
+	// scan of that handful beats hashing the key on every sample. The
+	// scan runs newest-first, which keeps a timeline's many buckets cheap
+	// too: samples arrive in near-time order, so the bucket wanted is the
+	// last or next-to-last one added.
 	keys []K
+	recs []*LatencyRecorder
 	hint int
 	// free holds recorders released by Reset so Observe can reuse them
 	// (with their sample capacity) instead of allocating per key.
@@ -22,15 +27,28 @@ type Breakdown[K comparable] struct {
 // NewBreakdown returns an empty breakdown; capacityHint sizes each per-key
 // recorder on first use.
 func NewBreakdown[K comparable](capacityHint int) *Breakdown[K] {
-	return &Breakdown[K]{recorders: make(map[K]*LatencyRecorder), hint: capacityHint}
+	return &Breakdown[K]{hint: capacityHint}
+}
+
+// find returns key's position in keys and recs, or -1.
+//
+//tg:hotpath
+func (b *Breakdown[K]) find(key K) int {
+	for i := len(b.keys) - 1; i >= 0; i-- {
+		if b.keys[i] == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Observe records a sample under the given key.
 //
 //tg:hotpath
 func (b *Breakdown[K]) Observe(key K, v float64) error {
-	r, ok := b.recorders[key]
-	if !ok {
+	i := b.find(key)
+	if i < 0 {
+		var r *LatencyRecorder
 		if n := len(b.free); n > 0 {
 			r = b.free[n-1]
 			b.free[n-1] = nil
@@ -38,23 +56,29 @@ func (b *Breakdown[K]) Observe(key K, v float64) error {
 		} else {
 			r = NewLatencyRecorder(b.hint)
 		}
-		b.recorders[key] = r
+		i = len(b.keys)
 		b.keys = append(b.keys, key)
+		b.recs = append(b.recs, r)
 	}
-	return r.Observe(v)
+	return b.recs[i].Observe(v)
 }
 
 // Recorder returns the recorder for key, or nil if no sample was recorded
 // under it.
-func (b *Breakdown[K]) Recorder(key K) *LatencyRecorder { return b.recorders[key] }
+func (b *Breakdown[K]) Recorder(key K) *LatencyRecorder {
+	if i := b.find(key); i >= 0 {
+		return b.recs[i]
+	}
+	return nil
+}
 
 // Len returns the number of distinct keys observed.
-func (b *Breakdown[K]) Len() int { return len(b.recorders) }
+func (b *Breakdown[K]) Len() int { return len(b.keys) }
 
 // Total returns the total number of samples across all keys.
 func (b *Breakdown[K]) Total() int {
 	var n int
-	for _, r := range b.recorders {
+	for _, r := range b.recs {
 		n += r.Count()
 	}
 	return n
@@ -63,31 +87,29 @@ func (b *Breakdown[K]) Total() int {
 // Each calls fn for every (key, recorder) pair in first-observation
 // order, which is deterministic for a deterministic workload.
 func (b *Breakdown[K]) Each(fn func(key K, r *LatencyRecorder)) {
-	for _, k := range b.keys {
-		fn(k, b.recorders[k])
+	for i, k := range b.keys {
+		fn(k, b.recs[i])
 	}
 }
 
-// Reset discards all keys and samples, keeping the key map's buckets and
-// the recorders (emptied onto a freelist in first-observation order) for
-// reuse.
+// Reset discards all keys and samples, keeping the key and recorder
+// slices' capacity and the recorders (emptied onto a freelist in
+// first-observation order) for reuse.
 func (b *Breakdown[K]) Reset() {
-	for _, k := range b.keys {
-		r := b.recorders[k]
+	for i, r := range b.recs {
 		r.Reset()
 		b.free = append(b.free, r)
-		delete(b.recorders, k)
+		b.recs[i] = nil
 	}
+	clear(b.keys)
 	b.keys = b.keys[:0]
+	b.recs = b.recs[:0]
 }
 
 // IntKeys returns the observed keys of an integer-keyed breakdown in
 // ascending order. It is a convenience for the common fanout/class cases.
 func IntKeys[K ~int](b *Breakdown[K]) []K {
-	keys := make([]K, 0, b.Len())
-	for k := range b.recorders {
-		keys = append(keys, k)
-	}
+	keys := append([]K(nil), b.keys...)
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
 }
@@ -95,10 +117,7 @@ func IntKeys[K ~int](b *Breakdown[K]) []K {
 // StringKeys returns the observed keys of a string-keyed breakdown in
 // ascending order.
 func StringKeys[K ~string](b *Breakdown[K]) []K {
-	keys := make([]K, 0, b.Len())
-	for k := range b.recorders {
-		keys = append(keys, k)
-	}
+	keys := append([]K(nil), b.keys...)
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -147,6 +148,48 @@ func TestBreakdown(t *testing.T) {
 	b.Reset()
 	if b.Len() != 0 {
 		t.Errorf("Len after Reset = %d, want 0", b.Len())
+	}
+}
+
+// Keys live in first-observation order and nowhere else: Reset forgets
+// them (a reused breakdown starts a new order, with no stale samples
+// under a key it has seen before) and a warm Reset + Observe cycle
+// allocates nothing.
+func TestBreakdownResetForgetsKeysAndReusesRecorders(t *testing.T) {
+	type key struct{ class, fanout int }
+	a, b, c := key{0, 1}, key{0, 100}, key{1, 1}
+	order := func(bd *Breakdown[key]) (keys []key, counts []int) {
+		bd.Each(func(k key, r *LatencyRecorder) {
+			keys = append(keys, k)
+			counts = append(counts, r.Count())
+		})
+		return keys, counts
+	}
+	bd := NewBreakdown[key](4)
+	for _, k := range []key{a, b, a, c, a} {
+		if err := bd.Observe(k, 1); err != nil {
+			t.Fatalf("Observe: %v", err)
+		}
+	}
+	if keys, counts := order(bd); !reflect.DeepEqual(keys, []key{a, b, c}) || !reflect.DeepEqual(counts, []int{3, 1, 1}) {
+		t.Errorf("Each order = %v counts %v, want [a b c] [3 1 1]", keys, counts)
+	}
+	bd.Reset()
+	if bd.Recorder(a) != nil || bd.Len() != 0 || bd.Total() != 0 {
+		t.Errorf("after Reset: Recorder(a) = %v, Len %d, Total %d; want nil, 0, 0", bd.Recorder(a), bd.Len(), bd.Total())
+	}
+	_ = bd.Observe(c, 2)
+	_ = bd.Observe(a, 3)
+	if keys, counts := order(bd); !reflect.DeepEqual(keys, []key{c, a}) || !reflect.DeepEqual(counts, []int{1, 1}) {
+		t.Errorf("Each order after Reset = %v counts %v, want [c a] [1 1]", keys, counts)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		bd.Reset()
+		_ = bd.Observe(b, 1)
+		_ = bd.Observe(a, 1)
+		_ = bd.Observe(b, 1)
+	}); allocs != 0 {
+		t.Errorf("warm Reset + Observe cycle allocated %v times, want 0", allocs)
 	}
 }
 

@@ -55,13 +55,21 @@ func (p *Pool) Stats() (launched, finished int64) {
 	return p.launched, p.finished
 }
 
+// noteLaunched and noteFinished are no-ops on a nil pool, like Workers:
+// Map(nil, ...) runs on ad-hoc workers with nothing to account to.
 func (p *Pool) noteLaunched() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	p.launched++
 	p.mu.Unlock()
 }
 
 func (p *Pool) noteFinished() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	p.finished++
 	p.mu.Unlock()
@@ -87,13 +95,9 @@ func Map[T any](p *Pool, n int, job func(int) (T, error)) ([]T, error) {
 	if workers <= 1 || n == 1 {
 		out := make([]T, n)
 		for i := 0; i < n; i++ {
-			if p != nil {
-				p.noteLaunched()
-			}
+			p.noteLaunched()
 			v, err := job(i)
-			if p != nil {
-				p.noteFinished()
-			}
+			p.noteFinished()
 			if err != nil {
 				return nil, err
 			}

@@ -9,12 +9,15 @@ import (
 	"tailguard/internal/dist"
 )
 
-func testEdge(t *testing.T, id int) *EdgeNode {
+func testEdge(t *testing.T, id int) *EdgeNode { return testEdgeDelay(t, id, 0) }
+
+// testEdgeDelay is testEdge with every task held for delayMs.
+func testEdgeDelay(t *testing.T, id int, delayMs float64) *EdgeNode {
 	t.Helper()
 	n, err := NewEdgeNode(EdgeConfig{
 		ID:    id,
 		Store: testStore(t, id),
-		Delay: dist.Deterministic{V: 0},
+		Delay: dist.Deterministic{V: delayMs},
 		Seed:  int64(id),
 	})
 	if err != nil {

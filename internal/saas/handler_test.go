@@ -85,14 +85,27 @@ func TestHandlerValidation(t *testing.T) {
 }
 
 func TestHandlerDuplicateQueryID(t *testing.T) {
-	h, _ := buildHandler(t, 2, core.FIFO)
+	// Node 0 holds its task for 200 ms, so query 7 is still in flight
+	// when its ID comes round again; on a zero-delay node it can finish
+	// first on a multi-core box, and a finished query's ID is free.
+	classes, err := SaSClasses(100)
+	if err != nil {
+		t.Fatalf("SaSClasses: %v", err)
+	}
+	h, err := NewHandler(HandlerConfig{
+		Nodes:   []NodeRef{testEdgeDelay(t, 0, 200).Ref(), testEdge(t, 1).Ref()},
+		Spec:    core.FIFO,
+		Classes: classes,
+	})
+	if err != nil {
+		t.Fatalf("NewHandler: %v", err)
+	}
 	q := validQuery(t, 7, []int{0})
 	if err := h.Submit(q); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	q2 := validQuery(t, 7, []int{1})
-	err := h.Submit(q2)
-	if err == nil {
+	if err := h.Submit(q2); err == nil {
 		t.Error("duplicate query ID accepted")
 	}
 	h.Drain()

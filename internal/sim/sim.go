@@ -28,16 +28,21 @@ type Time = float64
 // method-value expression itself allocates.
 type Handler func(arg any, val float64)
 
-// event is one scheduled callback: either a closure (fn) or a pre-bound
-// handler with its payload (h, arg, val).
+// event is one scheduled callback: a pre-bound handler with its payload.
+// Closure-form Schedule uses the same representation (runClosure with the
+// closure as arg), so the queues and the dispatch loop know one layout.
+// An event is written once, into the slot or heap position it is filed
+// at, and dispatched from there (DESIGN.md §14).
 type event struct {
 	at  Time
 	seq uint64 // schedule order, breaks ties deterministically
-	fn  func()
 	h   Handler
 	arg any
 	val float64
 }
+
+// runClosure is the handler behind Schedule: the closure is the payload.
+func runClosure(arg any, _ float64) { arg.(func())() }
 
 // eventHeap is a binary min-heap of events ordered by (time, sequence),
 // stored by value with hand-specialized sift-up/sift-down. Scheduling
@@ -49,37 +54,34 @@ type event struct {
 // against.
 type eventHeap []event
 
-// before reports whether event i must pop before event j.
-func (h eventHeap) before(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-// push appends ev and restores the heap by sifting it up.
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
+// push files *ev: the hole opened at the end sifts up past every later
+// event, then takes *ev — one copy of the event, however far it rises.
+//
+//tg:hotpath
+func (h *eventHeap) push(ev *event) {
+	s := append(*h, event{}) //tg:cold heap warm-up; capacity persists across Reset
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.before(i, parent) {
+		if !eventBefore(ev, &s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = *ev
+	*h = s
 }
 
-// pop removes and returns the earliest event, sifting the displaced
-// last element down.
-func (h *eventHeap) pop() event {
+// drop removes the earliest event, h[0] (which callers read in place
+// first): the hole at the root sifts down past every earlier event, then
+// takes the displaced last element.
+//
+//tg:hotpath
+func (h *eventHeap) drop() {
 	s := *h
 	n := len(s) - 1
-	min := s[0]
-	s[0] = s[n]
-	s[n] = event{} // release the callback for GC
+	last := &s[n]
 	s = s[:n]
 	*h = s
 	i := 0
@@ -89,16 +91,19 @@ func (h *eventHeap) pop() event {
 			break
 		}
 		least := left
-		if right := left + 1; right < n && s.before(right, left) {
+		if right := left + 1; right < n && eventBefore(&s[right], &s[left]) {
 			least = right
 		}
-		if !s.before(least, i) {
+		if !eventBefore(&s[least], last) {
 			break
 		}
-		s[i], s[least] = s[least], s[i]
+		s[i] = s[least]
 		i = least
 	}
-	return min
+	if i < n {
+		s[i] = *last
+	}
+	*last = event{} // release the callback and payload for GC
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
@@ -139,10 +144,10 @@ func (e *Engine) Pending() int {
 	return e.w.n
 }
 
-// pushEvent files ev into the engine's event queue.
+// pushEvent files *ev into the engine's event queue.
 //
 //tg:hotpath
-func (e *Engine) pushEvent(ev event) {
+func (e *Engine) pushEvent(ev *event) {
 	if e.heapRef {
 		e.events.push(ev)
 		return
@@ -164,29 +169,30 @@ func (e *Engine) peekEvent() *event {
 	return e.w.peek()
 }
 
-// popEvent removes and returns the earliest event. The caller
-// guarantees one is pending.
+// dispatch executes ev, the event peekEvent just returned: its fields
+// are read straight out of the queue's storage, the queue drops it, the
+// clock advances and the handler runs (which may schedule freely — ev is
+// not touched again).
 //
 //tg:hotpath
-func (e *Engine) popEvent() event {
+func (e *Engine) dispatch(ev *event) {
+	at, h, arg, val := ev.at, ev.h, ev.arg, ev.val
 	if e.heapRef {
-		return e.events.pop()
+		e.events.drop()
+	} else {
+		e.w.drop()
 	}
-	return e.w.pop()
+	e.now = at
+	h(arg, val)
 }
 
 // Schedule runs fn at absolute time at. Scheduling in the past (before
 // Now) is a bookkeeping bug and returns an error.
 func (e *Engine) Schedule(at Time, fn func()) error {
-	if at < e.now {
-		return fmt.Errorf("sim: schedule at %v before now %v", at, e.now)
-	}
 	if fn == nil {
 		return fmt.Errorf("sim: schedule with nil callback")
 	}
-	e.seq++
-	e.pushEvent(event{at: at, seq: e.seq, fn: fn})
-	return nil
+	return e.ScheduleCall(at, runClosure, fn, 0)
 }
 
 // ScheduleCall runs h(arg, val) at absolute time at. It is the
@@ -201,7 +207,11 @@ func (e *Engine) ScheduleCall(at Time, h Handler, arg any, val float64) error {
 		return fmt.Errorf("sim: schedule with nil handler")
 	}
 	e.seq++
-	e.pushEvent(event{at: at, seq: e.seq, h: h, arg: arg, val: val})
+	// Field by field: a composite literal is built in a temporary and
+	// copied over with wide loads that stall on these narrow stores.
+	var ev event
+	ev.at, ev.seq, ev.h, ev.arg, ev.val = at, e.seq, h, arg, val
+	e.pushEvent(&ev)
 	return nil
 }
 
@@ -224,16 +234,11 @@ func (e *Engine) ScheduleAfter(d Time, fn func()) error {
 // Step executes the earliest pending event, advancing the clock to it.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if e.Pending() == 0 {
+	ev := e.peekEvent()
+	if ev == nil {
 		return false
 	}
-	ev := e.popEvent()
-	e.now = ev.at
-	if ev.h != nil {
-		ev.h(ev.arg, ev.val)
-	} else {
-		ev.fn()
-	}
+	e.dispatch(ev)
 	return true
 }
 
@@ -254,7 +259,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		if ev == nil || ev.at > deadline {
 			break
 		}
-		e.Step()
+		e.dispatch(ev)
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -276,7 +281,7 @@ func (e *Engine) RunBefore(limit Time) {
 		if ev == nil || ev.at >= limit {
 			break
 		}
-		e.Step()
+		e.dispatch(ev)
 	}
 }
 

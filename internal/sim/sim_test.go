@@ -143,12 +143,13 @@ func TestEventHeapPopOrderProperty(t *testing.T) {
 		var h eventHeap
 		for seq, r := range raw {
 			// Only 8 distinct times, forcing frequent ties.
-			h.push(event{at: Time(r % 8), seq: uint64(seq), fn: func() {}})
+			h.push(&event{at: Time(r % 8), seq: uint64(seq)})
 		}
 		var prevAt Time = -1
 		var prevSeq uint64
 		for len(h) > 0 {
-			ev := h.pop()
+			ev := h[0]
+			h.drop()
 			if ev.at < prevAt || (ev.at == prevAt && ev.seq <= prevSeq) {
 				return false
 			}
@@ -186,5 +187,70 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Errorf("event ordering property violated: %v", err)
+	}
+}
+
+// Closure-form Schedule and handler-form ScheduleCall share one event
+// representation and one sequence counter, so on either engine a mix of
+// the two executes in (time, schedule order): ties go to whichever form
+// was scheduled first, including events scheduled from inside a running
+// event at the current time.
+func TestScheduleFormsInterleaveInOrder(t *testing.T) {
+	for _, eng := range []struct {
+		name string
+		mk   func() *Engine
+	}{{"wheel", NewEngine}, {"heap", NewHeapEngine}} {
+		e := eng.mk()
+		type stamp struct {
+			at  Time
+			seq int
+		}
+		var scheduled, executed []stamp
+		payload := new(int)
+		var schedule func(at Time, spawn bool)
+		schedule = func(at Time, spawn bool) {
+			s := stamp{at, len(scheduled)}
+			scheduled = append(scheduled, s)
+			run := func() {
+				if e.Now() != s.at {
+					t.Errorf("%s: event %d ran at %v, scheduled for %v", eng.name, s.seq, e.Now(), s.at)
+				}
+				executed = append(executed, s)
+				if spawn { // a tie with the clock, in the other form, and a later one
+					schedule(e.Now(), false)
+					schedule(e.Now()+0.5, false)
+				}
+			}
+			var err error
+			if s.seq%3 == 1 || s.seq%7 == 0 {
+				err = e.Schedule(at, run)
+			} else {
+				err = e.ScheduleCall(at, func(arg any, val float64) {
+					if arg.(*int) != payload || val != float64(s.seq) {
+						t.Errorf("%s: event %d got payload (%v, %v)", eng.name, s.seq, arg, val)
+					}
+					run()
+				}, payload, float64(s.seq))
+			}
+			if err != nil {
+				t.Fatalf("%s: schedule %d at %v: %v", eng.name, s.seq, at, err)
+			}
+		}
+		// Only 6 distinct times across wheel levels 0-2 and the overflow
+		// heap, so most events tie with one of the other form.
+		times := []Time{0, 0.25, 0.25 + 1.0/128, 3, 700, 400000}
+		for i := 0; i < 120; i++ {
+			schedule(times[(i*5)%len(times)], i%4 == 0)
+		}
+		e.Run()
+		if len(executed) != len(scheduled) {
+			t.Fatalf("%s: executed %d of %d events", eng.name, len(executed), len(scheduled))
+		}
+		for i := 1; i < len(executed); i++ {
+			a, b := executed[i-1], executed[i]
+			if a.at > b.at || (a.at == b.at && a.seq >= b.seq) {
+				t.Fatalf("%s: event (at %v, seq %d) ran before (at %v, seq %d)", eng.name, a.at, a.seq, b.at, b.seq)
+			}
+		}
 	}
 }

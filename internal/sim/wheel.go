@@ -110,21 +110,21 @@ type wheel struct {
 	far   eventHeap
 }
 
-// schedule files ev. O(1) amortized: an append for future ticks, a
+// schedule files *ev. O(1) amortized: an append for future ticks, a
 // sorted insert into the small current batch for same- or past-tick
 // events, a heap push beyond the top window.
 //
 //tg:hotpath
-func (w *wheel) schedule(ev event) {
+func (w *wheel) schedule(ev *event) {
 	w.n++
 	w.place(ev)
 }
 
-// place files ev without counting it (shared by schedule, cascades, and
-// far-heap rebasing).
+// place files *ev without counting it (shared by schedule, cascades, and
+// far-heap rebasing): the one copy of the event into queue storage.
 //
 //tg:hotpath
-func (w *wheel) place(ev event) {
+func (w *wheel) place(ev *event) {
 	t := tickOf(ev.at)
 	if t <= w.cur {
 		// At or behind the cursor (at >= now still holds): merge into the
@@ -139,20 +139,20 @@ func (w *wheel) place(ev event) {
 	}
 	l := (bits.Len64(x) - 1) / wheelBits
 	s := (t >> (uint(l) * wheelBits)) & wheelMask
-	w.slots[l][s] = append(w.slots[l][s], ev)
+	w.slots[l][s] = append(w.slots[l][s], *ev)
 	w.occ[l] |= 1 << s
 }
 
-// batchInsert places ev into the current batch's sorted remainder.
+// batchInsert places *ev into the current batch's sorted remainder.
 //
 //tg:hotpath
-func (w *wheel) batchInsert(ev event) {
+func (w *wheel) batchInsert(ev *event) {
 	sp := &w.slots[0][w.cur&wheelMask]
 	b := *sp
 	lo, hi := w.bpos, len(b)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if eventBefore(&b[mid], &ev) {
+		if eventBefore(&b[mid], ev) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -160,7 +160,7 @@ func (w *wheel) batchInsert(ev event) {
 	}
 	b = append(b, event{}) //tg:cold slot warm-up; capacity persists across Reset
 	copy(b[lo+1:], b[lo:])
-	b[lo] = ev
+	b[lo] = *ev
 	*sp = b
 	w.occ[0] |= 1 << (w.cur & wheelMask)
 }
@@ -183,18 +183,13 @@ func (w *wheel) peek() *event {
 	return &(*sp)[w.bpos]
 }
 
-// pop removes and returns the earliest event. The caller guarantees the
-// wheel is non-empty.
+// drop removes the event peek just returned (peek has already loaded
+// its batch, so the head is the batch entry at bpos).
 //
 //tg:hotpath
-func (w *wheel) pop() event {
+func (w *wheel) drop() {
 	sp := &w.slots[0][w.cur&wheelMask]
-	if w.bpos >= len(*sp) {
-		w.advance()
-		sp = &w.slots[0][w.cur&wheelMask]
-	}
 	b := *sp
-	ev := b[w.bpos]
 	b[w.bpos] = event{} // release the callback and payload for GC
 	w.bpos++
 	w.n--
@@ -203,7 +198,6 @@ func (w *wheel) pop() event {
 		w.occ[0] &^= 1 << (w.cur & wheelMask)
 		w.bpos = 0
 	}
-	return ev
 }
 
 // advance moves the cursor to the next non-empty tick and loads its
@@ -252,7 +246,7 @@ func (w *wheel) cascade() bool {
 		evs := *sp
 		w.occ[l] &^= 1 << s
 		for i := range evs {
-			w.place(evs[i])
+			w.place(&evs[i])
 			evs[i] = event{}
 		}
 		*sp = evs[:0]
@@ -266,12 +260,13 @@ func (w *wheel) cascade() bool {
 // Called only when every wheel level is exhausted and n > 0 (so the far
 // heap is non-empty).
 func (w *wheel) rebase() {
-	ev := w.far.pop()
-	w.cur = tickOf(ev.at)
-	w.place(ev)
+	w.cur = tickOf(w.far[0].at)
 	top := w.cur >> wheelSpanBits
+	// Everything moved lands inside the new window, so place never pushes
+	// back onto the far heap while its head is being read.
 	for len(w.far) > 0 && tickOf(w.far[0].at)>>wheelSpanBits == top {
-		w.place(w.far.pop())
+		w.place(&w.far[0])
+		w.far.drop()
 	}
 }
 
@@ -307,9 +302,15 @@ func (w *wheel) reset() {
 func sortEvents(s []event) {
 	if len(s) <= 24 {
 		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && eventBefore(&s[j], &s[j-1]); j-- {
-				s[j], s[j-1] = s[j-1], s[j]
+			if !eventBefore(&s[i], &s[i-1]) {
+				continue
 			}
+			ev := s[i]
+			j := i
+			for ; j > 0 && eventBefore(&ev, &s[j-1]); j-- {
+				s[j] = s[j-1]
+			}
+			s[j] = ev
 		}
 		return
 	}
