@@ -2,7 +2,14 @@ package experiment
 
 import (
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tailguard/internal/core"
@@ -11,26 +18,55 @@ import (
 	"tailguard/internal/workload"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/generators/*.golden with current output")
+
 // goldenFid is deliberately tiny: every generator below runs twice (once
-// sequential, once on 8 workers), and only the bit-identity of the two
+// sequential, once on 8 workers), and only the bit-identity of the
 // outputs matters, not the quality of the numbers.
 var goldenFid = Fidelity{Queries: 1200, Warmup: 120, MinSamples: 10, LoadTol: 0.1, Seed: 1}
 
-// TestGeneratorsParallelGolden is the determinism contract of DESIGN.md §8:
-// every experiment generator must produce byte-identical tables whether the
-// sweep runs sequentially (Workers=1) or on a pool (Workers=8), regardless
-// of how many cores the machine has.
+// renderGolden is a table's full golden form: the text rendering, the
+// CSV, and every Raw value at full precision (keys sorted), so a change
+// below the printed digits still shows.
+func renderGolden(t *Table) string {
+	var b strings.Builder
+	b.WriteString(t.String())
+	b.WriteString("\n")
+	b.WriteString(t.CSV())
+	b.WriteString("\nraw:\n")
+	for i, raw := range t.Raw {
+		keys := make([]string, 0, len(raw))
+		for k := range raw {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		fmt.Fprintf(&b, "%d:", i)
+		for _, k := range keys {
+			fmt.Fprintf(&b, " %s=%s", k, strconv.FormatFloat(raw[k], 'g', -1, 64))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestGeneratorsParallelGolden pins every experiment generator byte for
+// byte: the sequential (Workers=1) and pooled (Workers=8) runs must both
+// reproduce testdata/generators/<name>.golden — the determinism contract
+// of DESIGN.md §8 plus a guard that a refactor of the search or the
+// simulator cannot drift a reproduced figure. Regenerate with -update
+// only for a change meant to move the numbers. The max-load grids carry
+// two SLO rows so rows that share probes are exercised.
 func TestGeneratorsParallelGolden(t *testing.T) {
 	wl := []string{"masstree"}
-	slos := map[string][]float64{"masstree": {1.0}}
+	slos := map[string][]float64{"masstree": {1.0, 1.4}}
 	gens := []struct {
 		name string
 		run  func(Fidelity) (*Table, error)
 	}{
 		{"fig4", func(f Fidelity) (*Table, error) { return Fig4(f, wl, slos) }},
 		{"fig4r", func(f Fidelity) (*Table, error) { return Fig4Replicated(f, wl, slos, 2) }},
-		{"table3", func(f Fidelity) (*Table, error) { return Table3(f, []float64{1.0}) }},
-		{"fig5", func(f Fidelity) (*Table, error) { return Fig5(f, []float64{1.0}, []ArrivalKind{Poisson}) }},
+		{"table3", func(f Fidelity) (*Table, error) { return Table3(f, []float64{1.0, 1.4}) }},
+		{"fig5", func(f Fidelity) (*Table, error) { return Fig5(f, []float64{1.0, 1.4}, []ArrivalKind{Poisson}) }},
 		{"fig6", func(f Fidelity) (*Table, error) { return Fig6(f, wl, []float64{0.30}) }},
 		{"fig7", func(f Fidelity) (*Table, error) { return Fig7(f, []float64{0.5}) }},
 		{"ablation-queues", func(f Fidelity) (*Table, error) { return AblationQueues(f, 0.30) }},
@@ -39,10 +75,13 @@ func TestGeneratorsParallelGolden(t *testing.T) {
 		{"ablation-dispatch", func(f Fidelity) (*Table, error) { return AblationDispatch(f, 0.30, 0.05) }},
 		{"nscale", func(f Fidelity) (*Table, error) { return NScale(f, 1.0) }},
 		{"request", func(f Fidelity) (*Table, error) { return RequestExperiment(f, 3.0) }},
+		{"ext-surge", func(f Fidelity) (*Table, error) { return ExtSurge(f, 0, 0) }},
+		{"ext-failure", func(f Fidelity) (*Table, error) { return ExtFailure(f, 0) }},
 	}
 	for _, g := range gens {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
+			path := filepath.Join("testdata", "generators", g.name+".golden")
 			seq, par := goldenFid, goldenFid
 			seq.Workers = 1
 			par.Workers = 8
@@ -50,14 +89,28 @@ func TestGeneratorsParallelGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sequential run: %v", err)
 			}
+			got := renderGolden(ts)
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("reading golden (run with -update to create it): %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("workers=1 output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+			}
 			tp, err := g.run(par)
 			if err != nil {
 				t.Fatalf("parallel run: %v", err)
 			}
-			golden := ts.String() + "\n" + ts.CSV()
-			got := tp.String() + "\n" + tp.CSV()
-			if got != golden {
-				t.Errorf("parallel output diverges from sequential:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", golden, got)
+			if gotPar := renderGolden(tp); gotPar != string(want) {
+				t.Errorf("workers=8 output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, gotPar, want)
 			}
 		})
 	}
