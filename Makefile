@@ -122,13 +122,17 @@ fault-smoke:
 shard-smoke:
 	$(GO) run ./cmd/tgsim -exp shardscale -shard-servers 128 -queries 6000
 
-# perf-smoke proves the timing-wheel event queue: an end-to-end resilient
-# faulted run on the wheel engine and on the reference binary heap must
-# produce bit-identical Results, and the randomized wheel-vs-heap pop
-# order and least-loaded index-vs-scan property suites must hold.
+# perf-smoke proves the simulator's shortcuts change no result: an
+# end-to-end resilient faulted run on the wheel engine and on the
+# reference binary heap must produce bit-identical Results, the
+# randomized wheel-vs-heap pop order and least-loaded index-vs-scan
+# property suites must hold, and the max-load search's early-stopped,
+# shared-row probes must give every row the verdict its own full run
+# gives (960-probe differential).
 perf-smoke:
-	$(GO) test ./internal/cluster -run 'TestPerfSmokeWheelVsHeap|TestLeastLoadedIndexMatchesScanEndToEnd' -count=1
-	$(GO) test ./internal/sim -run 'TestWheel|FuzzWheelVsHeapPopOrder' -count=1
+	$(GO) test ./internal/cluster -run 'TestPerfSmokeWheelVsHeap|TestLeastLoadedIndexMatchesScanEndToEnd|TestEarlyStop|TestStoppedRunAllocations' -count=1
+	$(GO) test ./internal/sim -run 'TestWheel|FuzzWheelVsHeapPopOrder|TestDrain' -count=1
+	$(GO) test ./internal/experiment -run 'TestEarlyStopSharedVerdictsMatchFullRuns|TestCensusDoesNotDependOnLoad|TestBisectMatchesMaxLoadPerRow' -count=1 -v
 
 # tgd-smoke proves the scheduler daemon end to end: enqueue a batch of
 # deadline-stamped queries over a journal file, crash a worker mid-lease,

@@ -148,6 +148,52 @@ type Config struct {
 	// attribution (latency vs. SLO, straggler identity and decomposition)
 	// for post-warmup queries.
 	Attribution *obs.Attributor
+	// EarlyStop, if non-nil, ends the run as soon as every one of its SLO
+	// checks is certain to fail, marking the Result Stopped. The max-load
+	// search sets it on its probes; nil runs every query.
+	EarlyStop *EarlyStop
+}
+
+// EarlyStop lets a run stop once its SLO verdict can only be a failure.
+// Each check is one verdict — one SLO row of a max-load grid whose rows
+// read one shared probe — and the run stops when all of them have
+// failed. A check fails once some (class, fanout) type has had
+// Quota[class*Stride+fanout] post-warmup latencies above its class's SLO.
+// The setter computes each quota with metrics.ExceedQuota from the type's
+// final post-warmup count, so it must know that count before the run: a
+// source whose query mix is fixed in advance, and no admission control,
+// faults or hook that change which queries complete. Then a check that
+// fails here fails in Result.MeetsSLOs, and a run whose every check
+// would pass can never stop.
+type EarlyStop struct {
+	// Stride is the fanout dimension of every Quota table: the largest
+	// fanout the source can draw, plus one.
+	Stride int
+	Checks []SLOCheck
+}
+
+// SLOCheck is one verdict an EarlyStop watches.
+type SLOCheck struct {
+	// SLOMs is each class's latency bound, indexed by class ID.
+	SLOMs []float64
+	// Quota is indexed by class*Stride+fanout: the number of that type's
+	// latencies above SLOMs[class] that fails the check. 0 marks a type
+	// the check ignores (too few samples for MeetsSLOs to read it).
+	Quota []int32
+}
+
+// validate checks the tables' shapes against the class count.
+func (es *EarlyStop) validate(classes int) error {
+	if es.Stride < 1 || len(es.Checks) == 0 {
+		return fmt.Errorf("cluster: early stop needs a positive stride and at least one check")
+	}
+	for i, c := range es.Checks {
+		if len(c.SLOMs) != classes || len(c.Quota) != classes*es.Stride {
+			return fmt.Errorf("cluster: early-stop check %d has %d SLOs and %d quotas, want %d and %d",
+				i, len(c.SLOMs), len(c.Quota), classes, classes*es.Stride)
+		}
+	}
+	return nil
 }
 
 // Failure is one server outage window.
@@ -244,6 +290,11 @@ func (c *Config) validate() error {
 	if c.ShardWindowMs < 0 {
 		return fmt.Errorf("cluster: shard window %v negative", c.ShardWindowMs)
 	}
+	if c.EarlyStop != nil {
+		if err := c.EarlyStop.validate(c.Classes.Len()); err != nil {
+			return err
+		}
+	}
 	if c.Shards > 1 {
 		if err := c.validateSharded(); err != nil {
 			return err
@@ -281,6 +332,9 @@ func (c *Config) validateSharded() error {
 	if c.DispatchDelay != nil && c.Queuing != PerServerQueuing {
 		return fmt.Errorf("cluster: sharded runs support a dispatch delay only under per-server queuing (central queuing samples it at dequeue time)")
 	}
+	if c.EarlyStop != nil {
+		return fmt.Errorf("cluster: sharded runs do not support early stopping (shards record completions out of global order)")
+	}
 	return nil
 }
 
@@ -311,6 +365,10 @@ type Result struct {
 	CreditDeferred int
 	Throttled      int
 	ControlTicks   int
+	// Stopped marks a run that Config.EarlyStop ended before its last
+	// query: every check failed. Its counters and recorders cover only
+	// the queries simulated up to the stop.
+	Stopped bool
 
 	// Duration is the simulated time from t=0 to the last completion (ms).
 	Duration float64
@@ -349,6 +407,7 @@ func (res *Result) reset() {
 	res.Failed, res.LostTasks, res.Retries = 0, 0, 0
 	res.HedgesIssued, res.HedgeWins = 0, 0
 	res.CreditDeferred, res.Throttled, res.ControlTicks = 0, 0, 0
+	res.Stopped = false
 	res.Duration, res.Utilization = 0, 0
 	res.OfferedLoad, res.TaskMissRatio = 0, 0
 	res.Overall.Reset()
@@ -538,13 +597,17 @@ func (s *stateStore) advance() {
 
 // reset clears any states left over from an aborted run, keeping
 // capacity, and rewinds the window to zero so the next run's claims land
-// in the ring again.
-func (s *stateStore) reset() {
+// in the ring again. visit, if non-nil, sees each leftover state first,
+// in ID order within the ring and then in sorted-ID order in the overflow.
+func (s *stateStore) reset(visit func(*queryState)) {
 	if s.used > s.base {
 		mask := len(s.ring) - 1
 		for i := 0; int64(i) < s.used-s.base; i++ {
 			j := (s.start + i) & mask
 			if s.ring[j].active {
+				if visit != nil {
+					visit(&s.ring[j])
+				}
 				s.ring[j] = queryState{}
 			}
 		}
@@ -560,6 +623,9 @@ func (s *stateStore) reset() {
 	for _, id := range ids {
 		st := s.overflow[id]
 		delete(s.overflow, id)
+		if visit != nil {
+			visit(st)
+		}
 		*st = queryState{}
 		s.free = append(s.free, st)
 	}
@@ -595,6 +661,11 @@ type Arena struct {
 	// prove the index picks identical servers.
 	loadIx      *loadIndex
 	noLoadIndex bool
+	// Early-stop state, sized only on runs with Config.EarlyStop: per
+	// check and type, the latencies above the SLO so far, and per check
+	// whether it has failed.
+	exceeded []int32
+	failed   []bool
 	// Sharded-core state (shard engines, worker gang, exchange buffers),
 	// built on the first sharded run and reused while the (shards,
 	// servers, queue kind) shape holds.
@@ -694,6 +765,17 @@ func resetFloats(s []float64, n int) []float64 {
 	return s
 }
 
+// resetInt32s returns s resized to n with all elements zero, reusing its
+// backing array when possible.
+func resetInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // resetTasks returns s resized to n with all elements nil, reusing its
 // backing array when possible.
 func resetTasks(s []*policy.Task, n int) []*policy.Task {
@@ -746,6 +828,11 @@ type runner struct {
 	missed    int
 	tasks     int
 	err       error // first internal error; aborts the run
+	// Early stop (nil / zero unless cfg.EarlyStop is set): counters and
+	// failure flags from the arena, and the checks not yet failed.
+	exceeded []int32
+	failed   []bool
+	stopLeft int
 }
 
 // Run executes the configured simulation to completion and returns its
@@ -765,7 +852,7 @@ func Run(cfg Config) (*Result, error) {
 		a.engine = sim.NewEngine()
 	}
 	a.engine.Reset()
-	a.states.reset()
+	a.states.reset(nil)
 
 	if a.queueKind != cfg.Spec.Queue {
 		a.queues = a.queues[:0]
@@ -876,15 +963,81 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	if es := cfg.EarlyStop; es != nil {
+		a.exceeded = resetInt32s(a.exceeded, len(es.Checks)*len(es.Checks[0].Quota))
+		a.failed = resetBools(a.failed, len(es.Checks))
+		r.exceeded, r.failed, r.stopLeft = a.exceeded, a.failed, len(es.Checks)
+	}
 	if err := r.scheduleNextArrival(); err != nil {
 		return nil, err
 	}
 	r.engine.Run()
 	if r.err != nil {
+		r.drain()
 		return nil, r.err
+	}
+	if r.res.Stopped {
+		r.drain()
 	}
 	r.finalize()
 	return r.res, nil
+}
+
+// drain hands back what a run that ended early left in flight: the
+// tasks and query boxes pending events carry, tasks still queued, and
+// the placement slices of queries never finished. Without it every
+// stopped run would leak them out of the arena, and the next run on the
+// arena would allocate them afresh.
+func (r *runner) drain() {
+	a := r.arena
+	r.engine.Drain(func(arg any, val float64) {
+		switch p := arg.(type) {
+		case *policy.Task:
+			a.tasks.Put(p)
+		case *workload.Query:
+			r.recycle(*p, val != 0) // val != 0 marks a hook-injected arrival
+			a.putQueryBox(p)
+		}
+	})
+	if r.pending != nil {
+		r.recycle(*r.pending, false)
+		a.putQueryBox(r.pending)
+		r.pending = nil
+	}
+	for _, q := range a.queues[:r.cfg.Servers] {
+		for t := q.Pop(); t != nil; t = q.Pop() {
+			a.tasks.Put(t)
+		}
+	}
+	a.states.reset(func(st *queryState) { r.recycle(st.query, st.injected) })
+}
+
+// checkStop counts a recorded latency against every early-stop check not
+// yet failed, and stops the run once all of them have failed.
+//
+//tg:hotpath
+func (r *runner) checkStop(class, fanout int, latency float64) {
+	es := r.cfg.EarlyStop
+	if fanout >= es.Stride {
+		return
+	}
+	t := class*es.Stride + fanout
+	for i := range es.Checks {
+		c := &es.Checks[i]
+		if r.failed[i] || c.Quota[t] == 0 || latency <= c.SLOMs[class] {
+			continue
+		}
+		j := i*len(c.Quota) + t
+		r.exceeded[j]++
+		if r.exceeded[j] >= c.Quota[t] {
+			r.failed[i] = true
+			r.stopLeft--
+		}
+	}
+	if r.stopLeft == 0 {
+		r.res.Stopped = true
+		r.engine.Stop()
+	}
 }
 
 // fail records the first internal error and stops the engine.
@@ -1673,6 +1826,9 @@ func (r *runner) onQueryDone(id int64, st *queryState) {
 				return
 			}
 		}
+		if r.cfg.EarlyStop != nil {
+			r.checkStop(cls, fanout, latency)
+		}
 	}
 	if !injected {
 		r.settleCredit(now)
@@ -1718,21 +1874,29 @@ func (r *runner) finalize() {
 // MeetsSLOs reports whether every query type (class, fanout) with at least
 // minSamples post-warmup samples met its class's tail-latency SLO — the
 // paper's per-type compliance criterion. It returns the worst margin
-// (measured tail / SLO) across checked types; a margin <= 1 passes.
+// (measured tail / SLO) across checked types; a margin <= 1 passes. A run
+// in which no type reached minSamples has no verdict and is an error, as
+// is a run that stopped early (its samples are a prefix).
 func (res *Result) MeetsSLOs(classes *workload.ClassSet, minSamples int) (bool, float64, error) {
 	if classes == nil {
 		return false, 0, fmt.Errorf("cluster: class set required")
+	}
+	if res.Stopped {
+		return false, 0, fmt.Errorf("cluster: run stopped early; its samples cannot decide an SLO verdict")
 	}
 	if minSamples < 1 {
 		minSamples = 1
 	}
 	ok := true
 	worst := 0.0
+	checked, largest := 0, 0
 	var firstErr error
 	res.ByType.Each(func(key ClassFanout, rec *metrics.LatencyRecorder) {
+		largest = max(largest, rec.Count())
 		if rec.Count() < minSamples || firstErr != nil {
 			return
 		}
+		checked++
 		cls, err := classes.Class(key.Class)
 		if err != nil {
 			firstErr = err
@@ -1753,6 +1917,10 @@ func (res *Result) MeetsSLOs(classes *workload.ClassSet, minSamples int) (bool, 
 	})
 	if firstErr != nil {
 		return false, 0, firstErr
+	}
+	if checked == 0 {
+		return false, 0, fmt.Errorf("cluster: no query type reached %d samples (%d types seen, the largest has %d)",
+			minSamples, res.ByType.Len(), largest)
 	}
 	if math.IsNaN(worst) {
 		return false, 0, fmt.Errorf("cluster: NaN SLO margin")

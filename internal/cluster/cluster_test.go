@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tailguard/internal/core"
@@ -425,5 +426,28 @@ func TestMeetsSLOs(t *testing.T) {
 	}
 	if _, _, err := res.MeetsSLOs(nil, 1); err == nil {
 		t.Error("MeetsSLOs(nil) succeeded, want error")
+	}
+}
+
+// TestMeetsSLOsUnderSampledIsAnError: a run in which no query type
+// reached minSamples has checked nothing, so it must not pass — a max-load
+// search reading such a probe as a pass would report its upper bound.
+func TestMeetsSLOsUnderSampledIsAnError(t *testing.T) {
+	w := dist.MustTailbenchWorkload("masstree")
+	fan, _ := workload.NewFixed(10)
+	arr, _ := workload.NewPoisson(0.5)
+	classes, _ := workload.SingleClass(50)
+	res, err := Run(buildConfig(t, core.TFEDFQ, w.ServiceTime, 100, arr, fan, classes, 300, 100, 8))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ok, _, err := res.MeetsSLOs(classes, 1000)
+	if err == nil {
+		t.Fatalf("MeetsSLOs with 200 samples against minSamples 1000 = %v, want an error", ok)
+	}
+	for _, want := range []string{"1000 samples", "1 types seen", "largest has 200"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

@@ -102,6 +102,9 @@ func (res *Result) Equal(other *Result) error {
 	if res.Spec != other.Spec {
 		return fmt.Errorf("Spec: %q vs %q", res.Spec, other.Spec)
 	}
+	if res.Stopped != other.Stopped {
+		return fmt.Errorf("Stopped: %v vs %v", res.Stopped, other.Stopped)
+	}
 	ints := [...]struct {
 		name string
 		a, b int

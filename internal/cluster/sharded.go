@@ -874,7 +874,7 @@ func runSharded(cfg Config) (*Result, error) {
 	if a == nil {
 		a = NewArena()
 	}
-	a.states.reset()
+	a.states.reset(nil)
 	ss, err := a.shardedFor(&cfg)
 	if err != nil {
 		return nil, err

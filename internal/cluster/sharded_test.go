@@ -235,6 +235,9 @@ func TestShardedRejectsUnsupportedFeatures(t *testing.T) {
 		{"retries", func(c *Config) { c.Resilience = fault.Resilience{RetryBudget: 1} }},
 		{"tracing", func(c *Config) { c.Obs = &obs.Tracer{} }},
 		{"central dispatch delay", func(c *Config) { c.DispatchDelay = dist.Uniform{Lo: 0.1, Hi: 0.2} }},
+		{"early stop", func(c *Config) {
+			c.EarlyStop = &EarlyStop{Stride: 9, Checks: []SLOCheck{{SLOMs: []float64{50}, Quota: make([]int32, 9)}}}
+		}},
 		{"more shards than servers", func(c *Config) { c.Shards = 9 }},
 		{"negative shards", func(c *Config) { c.Shards = -1 }},
 		{"negative window", func(c *Config) { c.ShardWindowMs = -1 }},

@@ -56,21 +56,6 @@ func (f Fidelity) validate() error {
 // pool returns the worker pool the fidelity prescribes.
 func (f Fidelity) pool() *parallel.Pool { return parallel.NewPool(f.Workers) }
 
-// innerWorkers splits the fidelity's worker budget across n concurrent
-// outer jobs (sweep cells, replicates), so nested parallelism — e.g.
-// speculative max-load probes inside a parallel sweep — stays bounded
-// near the overall worker count instead of multiplying.
-func (f Fidelity) innerWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	iw := f.pool().Workers() / n
-	if iw < 1 {
-		iw = 1
-	}
-	return iw
-}
-
 // scaled returns a copy with Queries and Warmup multiplied by factor
 // (minimum 1), used by experiments whose per-query task counts differ
 // wildly (e.g. fanout-100 OLDI runs shrink query counts).

@@ -45,26 +45,21 @@ func NScale(fid Fidelity, baseSLOMs float64) (*Table, error) {
 		f.MinSamples = 20
 	}
 	specs := core.Specs()
-	inner := fid.innerWorkers(len(specs))
-	loads, err := parallel.Map(fid.pool(), len(specs), func(i int) (float64, error) {
-		s := Scenario{
+	rows := make([]Scenario, len(specs))
+	for i, spec := range specs {
+		rows[i] = Scenario{
 			Workload: w,
 			Servers:  1000,
-			Spec:     specs[i],
+			Spec:     spec,
 			Fanout:   fan,
 			Classes:  classes,
 			Load:     0.3,
 			Fidelity: f,
 		}
-		s.Fidelity.Workers = inner
-		ml, err := ScenarioMaxLoad(s, DefaultMaxLoadBounds)
-		if err != nil {
-			return 0, fmt.Errorf("nscale %s: %w", specs[i].Name, err)
-		}
-		return ml, nil
-	})
+	}
+	loads, err := searchMaxLoads(fid.pool(), rows, DefaultMaxLoadBounds)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nscale: %w", err)
 	}
 	for i, spec := range specs {
 		t.Rows = append(t.Rows, []string{spec.Name, pct(loads[i])})
@@ -110,35 +105,36 @@ func RequestExperiment(fid Fidelity, sloMs float64) (*Table, error) {
 			cells = append(cells, cell{spec: spec, strat: strat})
 		}
 	}
-	pool := fid.pool()
-	innerPool := parallel.NewPool(fid.innerWorkers(len(cells)))
-	loads, err := parallel.Map(pool, len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		ml, err := SpeculativeMaxLoad(innerPool, DefaultMaxLoadBounds, fid.LoadTol, func(load float64) (bool, error) {
-			res, err := request.Run(request.RunConfig{
-				Plan:          plan,
-				Servers:       100,
-				Spec:          c.spec,
-				Service:       w.ServiceTime,
-				Strategy:      c.strat,
-				Load:          load,
-				Requests:      requests,
-				Warmup:        warmup,
-				Seed:          fid.Seed,
-				BudgetSamples: 100000,
-			})
-			if err != nil {
-				return false, err
-			}
-			return res.MeetsSLO, nil
+	// One lockstep search, a row per cell; no two cells share a probe.
+	group := make([]int, len(cells))
+	tols := make([]float64, len(cells))
+	for i := range cells {
+		group[i], tols[i] = i, fid.LoadTol
+	}
+	loads, bad, err := bisect(fid.pool(), DefaultMaxLoadBounds, tols, group, func(g int, load float64, _ []int) ([]bool, error) {
+		c := cells[g]
+		res, err := request.Run(request.RunConfig{
+			Plan:          plan,
+			Servers:       100,
+			Spec:          c.spec,
+			Service:       w.ServiceTime,
+			Strategy:      c.strat,
+			Load:          load,
+			Requests:      requests,
+			Warmup:        warmup,
+			Seed:          fid.Seed,
+			BudgetSamples: 100000,
 		})
 		if err != nil {
-			return 0, fmt.Errorf("request %s/%s: %w", c.spec.Name, c.strat.Name(), err)
+			return nil, err
 		}
-		return ml, nil
+		return []bool{res.MeetsSLO}, nil
 	})
 	if err != nil {
-		return nil, err
+		if bad < 0 {
+			return nil, err
+		}
+		return nil, fmt.Errorf("request %s/%s: %w", cells[bad].spec.Name, cells[bad].strat.Name(), err)
 	}
 	for i, c := range cells {
 		t.Rows = append(t.Rows, []string{c.spec.Name, c.strat.Name(), pct(loads[i])})
@@ -170,13 +166,14 @@ func AblationQueues(fid Fidelity, load float64) (*Table, error) {
 		p99  [3]float64
 		miss float64
 	}
+	rows, err := singleClassRows("masstree", []float64{0.8}, specs, fid)
+	if err != nil {
+		return nil, err
+	}
 	results, err := parallel.Map(fid.pool(), len(specs), func(i int) (specResult, error) {
 		spec := specs[i]
 		var out specResult
-		s, err := singleClassScenario("masstree", spec, 0.8, fid)
-		if err != nil {
-			return out, err
-		}
+		s := rows[i]
 		s.Load = load
 		res, err := s.Run()
 		if err != nil {

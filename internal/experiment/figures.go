@@ -94,30 +94,39 @@ func Table2() (*Table, error) {
 	return t, nil
 }
 
-// singleClassScenario builds the Fig. 4 scenario: N=100, mixed fanouts
-// 1/10/100 (P ∝ 1/kf), one class.
-func singleClassScenario(workloadName string, spec core.Spec, sloMs float64, fid Fidelity) (Scenario, error) {
+// singleClassRows builds the Fig. 4 scenarios for one workload: N=100,
+// mixed fanouts 1/10/100 (P ∝ 1/kf), one class, a row per (SLO, policy)
+// in that order. The rows share one service-time model and one fanout
+// distribution, so the max-load search can tell which of them share
+// probes.
+func singleClassRows(workloadName string, slos []float64, specs []core.Spec, fid Fidelity) ([]Scenario, error) {
 	w, err := dist.TailbenchWorkload(workloadName)
 	if err != nil {
-		return Scenario{}, err
+		return nil, err
 	}
 	fan, err := workload.NewInverseProportional(PaperFanouts)
 	if err != nil {
-		return Scenario{}, err
+		return nil, err
 	}
-	classes, err := workload.SingleClass(sloMs)
-	if err != nil {
-		return Scenario{}, err
+	var rows []Scenario
+	for _, slo := range slos {
+		classes, err := workload.SingleClass(slo)
+		if err != nil {
+			return nil, err
+		}
+		for _, spec := range specs {
+			rows = append(rows, Scenario{
+				Workload: w,
+				Servers:  100,
+				Spec:     spec,
+				Fanout:   fan,
+				Classes:  classes,
+				Load:     0.3, // placeholder; max-load search overrides
+				Fidelity: fid,
+			})
+		}
 	}
-	return Scenario{
-		Workload: w,
-		Servers:  100,
-		Spec:     spec,
-		Fanout:   fan,
-		Classes:  classes,
-		Load:     0.3, // placeholder; max-load search overrides
-		Fidelity: fid,
-	}, nil
+	return rows, nil
 }
 
 // Fig4 reproduces Fig. 4: the maximum load meeting a single-class tail
@@ -135,39 +144,19 @@ func Fig4(fid Fidelity, workloads []string, slos map[string][]float64) (*Table, 
 		Title:   "Max load meeting the single-class x99 SLO (TailGuard vs FIFO)",
 		Columns: []string{"workload", "slo_ms", "policy", "max_load", "gain_vs_fifo"},
 	}
-	// Every (workload, SLO, policy) cell is an independent max-load
-	// search; flatten the grid and fan it out on the worker pool,
-	// splitting the remaining worker budget across each cell's
-	// speculative bisection.
-	type cell struct {
-		name string
-		slo  float64
-		spec core.Spec
-	}
-	var cells []cell
+	// Every (workload, SLO, policy) cell is one row of a single lockstep
+	// max-load search.
+	var rows []Scenario
 	for _, name := range workloads {
-		for _, slo := range slos[name] {
-			for _, spec := range []core.Spec{core.TFEDFQ, core.FIFO} {
-				cells = append(cells, cell{name: name, slo: slo, spec: spec})
-			}
+		r, err := singleClassRows(name, slos[name], []core.Spec{core.TFEDFQ, core.FIFO}, fid)
+		if err != nil {
+			return nil, err
 		}
+		rows = append(rows, r...)
 	}
-	inner := fid.innerWorkers(len(cells))
-	loads, err := parallel.Map(fid.pool(), len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		s, err := singleClassScenario(c.name, c.spec, c.slo, fid)
-		if err != nil {
-			return 0, err
-		}
-		s.Fidelity.Workers = inner
-		ml, err := ScenarioMaxLoad(s, DefaultMaxLoadBounds)
-		if err != nil {
-			return 0, fmt.Errorf("fig4 %s slo=%v %s: %w", c.name, c.slo, c.spec.Name, err)
-		}
-		return ml, nil
-	})
+	loads, err := searchMaxLoads(fid.pool(), rows, DefaultMaxLoadBounds)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig4: %w", err)
 	}
 	ci := 0
 	for _, name := range workloads {
@@ -210,49 +199,33 @@ func Fig4Replicated(fid Fidelity, workloads []string, slos map[string][]float64,
 		Title:   fmt.Sprintf("Max load meeting the single-class x99 SLO, mean±sd over %d replicates", replicates),
 		Columns: []string{"workload", "slo_ms", "policy", "max_load_mean", "max_load_sd"},
 	}
-	// Flatten the full (workload, SLO, policy) x replicate grid into one
-	// job list so the pool sees the widest possible fan-out; each job is
-	// one independently seeded max-load search, exactly the searches
-	// ReplicatedScenarioMaxLoad runs per cell.
-	type cell struct {
-		name string
-		slo  float64
-		spec core.Spec
-	}
-	var cells []cell
+	// The full (workload, SLO, policy) x replicate grid is one lockstep
+	// search; each row is one independently seeded max-load search,
+	// exactly the searches ReplicatedScenarioMaxLoad runs per cell.
+	var cells, rows []Scenario
 	for _, name := range workloads {
-		for _, slo := range slos[name] {
-			for _, spec := range []core.Spec{core.TFEDFQ, core.FIFO} {
-				cells = append(cells, cell{name: name, slo: slo, spec: spec})
-			}
+		r, err := singleClassRows(name, slos[name], []core.Spec{core.TFEDFQ, core.FIFO}, fid)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, r...)
+	}
+	for _, c := range cells {
+		for rep := 0; rep < replicates; rep++ {
+			c.Fidelity.Seed = replicateSeed(fid.Seed, rep)
+			rows = append(rows, c)
 		}
 	}
-	n := len(cells) * replicates
-	inner := fid.innerWorkers(n)
-	values, err := parallel.Map(fid.pool(), n, func(i int) (float64, error) {
-		c := cells[i/replicates]
-		rep := i % replicates
-		s, err := singleClassScenario(c.name, c.spec, c.slo, fid)
-		if err != nil {
-			return 0, err
-		}
-		s.Fidelity.Seed = replicateSeed(fid.Seed, rep)
-		s.Fidelity.Workers = inner
-		ml, err := ScenarioMaxLoad(s, DefaultMaxLoadBounds)
-		if err != nil {
-			return 0, fmt.Errorf("fig4r %s slo=%v %s: %w", c.name, c.slo, c.spec.Name,
-				fmt.Errorf("experiment: replicate %d: %w", rep, err))
-		}
-		return ml, nil
-	})
+	values, err := searchMaxLoads(fid.pool(), rows, DefaultMaxLoadBounds)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig4r: %w", err)
 	}
 	for i, c := range cells {
 		rep := summarize(values[i*replicates : (i+1)*replicates])
-		t.Rows = append(t.Rows, []string{c.name, f2(c.slo), c.spec.Name, pct(rep.Mean), pct(rep.StdDev)})
+		slo := c.Classes.Classes()[0].SLOMs
+		t.Rows = append(t.Rows, []string{c.Workload.Name, f2(slo), c.Spec.Name, pct(rep.Mean), pct(rep.StdDev)})
 		t.Raw = append(t.Raw, map[string]float64{
-			"slo_ms": c.slo, "max_load": rep.Mean, "max_load_sd": rep.StdDev,
+			"slo_ms": slo, "max_load": rep.Mean, "max_load_sd": rep.StdDev,
 		})
 	}
 	return t, nil
@@ -269,33 +242,22 @@ func Table3(fid Fidelity, slos []float64) (*Table, error) {
 		Title:   "p99 (ms) per query fanout at max load (Masstree, single class)",
 		Columns: []string{"slo_ms", "policy", "max_load", "p99_k1", "p99_k10", "p99_k100"},
 	}
-	type cell struct {
-		slo  float64
-		spec core.Spec
+	rows, err := singleClassRows("masstree", slos, []core.Spec{core.FIFO, core.TFEDFQ}, fid)
+	if err != nil {
+		return nil, err
 	}
-	var cells []cell
-	for _, slo := range slos {
-		for _, spec := range []core.Spec{core.FIFO, core.TFEDFQ} {
-			cells = append(cells, cell{slo: slo, spec: spec})
-		}
+	loads, err := searchMaxLoads(fid.pool(), rows, DefaultMaxLoadBounds)
+	if err != nil {
+		return nil, fmt.Errorf("table3: %w", err)
 	}
 	type cellResult struct {
 		ml  float64
 		p99 [3]float64
 	}
-	inner := fid.innerWorkers(len(cells))
-	results, err := parallel.Map(fid.pool(), len(cells), func(i int) (cellResult, error) {
-		c := cells[i]
+	results, err := parallel.Map(fid.pool(), len(rows), func(i int) (cellResult, error) {
 		var out cellResult
-		s, err := singleClassScenario("masstree", c.spec, c.slo, fid)
-		if err != nil {
-			return out, err
-		}
-		s.Fidelity.Workers = inner
-		ml, err := ScenarioMaxLoad(s, DefaultMaxLoadBounds)
-		if err != nil {
-			return out, err
-		}
+		s := rows[i]
+		ml := loads[i]
 		if ml <= 0 {
 			ml = DefaultMaxLoadBounds.Lo
 		}
@@ -321,10 +283,11 @@ func Table3(fid Fidelity, slos []float64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
+	for i, s := range rows {
 		r := results[i]
-		row := []string{f2(c.slo), c.spec.Name, pct(r.ml)}
-		raw := map[string]float64{"slo_ms": c.slo, "max_load": r.ml}
+		slo := s.Classes.Classes()[0].SLOMs
+		row := []string{f2(slo), s.Spec.Name, pct(r.ml)}
+		raw := map[string]float64{"slo_ms": slo, "max_load": r.ml}
 		for ki, k := range PaperFanouts {
 			row = append(row, f3(r.p99[ki]))
 			raw[fmt.Sprintf("p99_k%d", k)] = r.p99[ki]
@@ -357,49 +320,35 @@ func Fig5(fid Fidelity, highSLOs []float64, arrivals []ArrivalKind) (*Table, err
 		Title:   "Max load, two classes (low SLO = 1.5x high), Masstree",
 		Columns: []string{"arrival", "high_slo_ms", "policy", "max_load"},
 	}
-	type cell struct {
-		arrival ArrivalKind
-		slo     float64
-		spec    core.Spec
-	}
-	var cells []cell
+	var rows []Scenario
 	for _, arrival := range arrivals {
 		for _, slo := range highSLOs {
+			classes, err := workload.TwoClasses(slo, 1.5)
+			if err != nil {
+				return nil, err
+			}
 			for _, spec := range core.Specs() {
-				cells = append(cells, cell{arrival: arrival, slo: slo, spec: spec})
+				rows = append(rows, Scenario{
+					Workload: w,
+					Servers:  100,
+					Spec:     spec,
+					Fanout:   fan,
+					Classes:  classes,
+					Arrival:  arrival,
+					Load:     0.3,
+					Fidelity: fid,
+				})
 			}
 		}
 	}
-	inner := fid.innerWorkers(len(cells))
-	loads, err := parallel.Map(fid.pool(), len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		classes, err := workload.TwoClasses(c.slo, 1.5)
-		if err != nil {
-			return 0, err
-		}
-		s := Scenario{
-			Workload: w,
-			Servers:  100,
-			Spec:     c.spec,
-			Fanout:   fan,
-			Classes:  classes,
-			Arrival:  c.arrival,
-			Load:     0.3,
-			Fidelity: fid,
-		}
-		s.Fidelity.Workers = inner
-		ml, err := ScenarioMaxLoad(s, DefaultMaxLoadBounds)
-		if err != nil {
-			return 0, fmt.Errorf("fig5 %s slo=%v %s: %w", c.arrival, c.slo, c.spec.Name, err)
-		}
-		return ml, nil
-	})
+	loads, err := searchMaxLoads(fid.pool(), rows, DefaultMaxLoadBounds)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig5: %w", err)
 	}
-	for i, c := range cells {
-		t.Rows = append(t.Rows, []string{string(c.arrival), f2(c.slo), c.spec.Name, pct(loads[i])})
-		t.Raw = append(t.Raw, map[string]float64{"high_slo_ms": c.slo, "max_load": loads[i]})
+	for i, s := range rows {
+		slo := s.Classes.Classes()[0].SLOMs
+		t.Rows = append(t.Rows, []string{string(s.Arrival), f2(slo), s.Spec.Name, pct(loads[i])})
+		t.Raw = append(t.Raw, map[string]float64{"high_slo_ms": slo, "max_load": loads[i]})
 	}
 	return t, nil
 }

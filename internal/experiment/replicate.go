@@ -47,24 +47,19 @@ func replicateSeed(base int64, i int) int64 {
 // ReplicatedScenarioMaxLoad repeats the max-load search with independent
 // seeds and reports the spread — the honest way to quote a max-load
 // number, since a single search inherits the tail noise of each probe.
-// Replicates run concurrently on the fidelity's worker pool; seeds are
-// a pure function of (base seed, replicate index), so the values are
-// identical to the sequential loop's at any worker count.
+// The replicates are the rows of one lockstep search on the fidelity's
+// worker pool; seeds are a pure function of (base seed, replicate
+// index), so the values are identical at any worker count.
 func ReplicatedScenarioMaxLoad(s Scenario, bounds MaxLoadBounds, replicates int) (Replicated, error) {
 	if replicates < 2 {
 		return Replicated{}, fmt.Errorf("experiment: need >= 2 replicates, got %d", replicates)
 	}
-	inner := s.Fidelity.innerWorkers(replicates)
-	values, err := parallel.Map(s.Fidelity.pool(), replicates, func(i int) (float64, error) {
-		sc := s
-		sc.Fidelity.Seed = replicateSeed(s.Fidelity.Seed, i)
-		sc.Fidelity.Workers = inner
-		ml, err := ScenarioMaxLoad(sc, bounds)
-		if err != nil {
-			return 0, fmt.Errorf("experiment: replicate %d: %w", i, err)
-		}
-		return ml, nil
-	})
+	rows := make([]Scenario, replicates)
+	for i := range rows {
+		rows[i] = s
+		rows[i].Fidelity.Seed = replicateSeed(s.Fidelity.Seed, i)
+	}
+	values, err := searchMaxLoads(s.Fidelity.pool(), rows, bounds)
 	if err != nil {
 		return Replicated{}, err
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 
 	"tailguard/internal/cluster"
 	"tailguard/internal/core"
@@ -46,55 +47,30 @@ type Scenario struct {
 	ShardWindowMs float64
 }
 
+// validate checks that every field group is populated.
+func (s Scenario) validate() error {
+	if s.Workload == nil {
+		return fmt.Errorf("experiment: scenario needs a workload")
+	}
+	if s.Servers < 1 {
+		return fmt.Errorf("experiment: scenario needs >= 1 server")
+	}
+	if s.Fanout == nil {
+		return fmt.Errorf("experiment: scenario needs a fanout distribution")
+	}
+	if s.Classes == nil {
+		return fmt.Errorf("experiment: scenario needs a class set")
+	}
+	if s.Load <= 0 || s.Load > 2 {
+		return fmt.Errorf("experiment: load %v outside (0, 2]", s.Load)
+	}
+	return s.Fidelity.validate()
+}
+
 // Build assembles the cluster configuration (generator, estimator,
 // deadliner, admission) for this scenario.
 func (s Scenario) Build() (cluster.Config, error) {
-	if s.Workload == nil {
-		return cluster.Config{}, fmt.Errorf("experiment: scenario needs a workload")
-	}
-	if s.Servers < 1 {
-		return cluster.Config{}, fmt.Errorf("experiment: scenario needs >= 1 server")
-	}
-	if s.Fanout == nil {
-		return cluster.Config{}, fmt.Errorf("experiment: scenario needs a fanout distribution")
-	}
-	if s.Classes == nil {
-		return cluster.Config{}, fmt.Errorf("experiment: scenario needs a class set")
-	}
-	if s.Load <= 0 || s.Load > 2 {
-		return cluster.Config{}, fmt.Errorf("experiment: load %v outside (0, 2]", s.Load)
-	}
-	if err := s.Fidelity.validate(); err != nil {
-		return cluster.Config{}, err
-	}
-
-	rate, err := workload.RateForLoad(s.Load, s.Servers, s.Fanout.MeanTasks(), s.Workload.ServiceTime.Mean())
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	var arrival workload.ArrivalProcess
-	switch s.Arrival {
-	case Poisson, "":
-		arrival, err = workload.NewPoisson(rate)
-	case Pareto:
-		alpha := s.ParetoAlpha
-		if alpha == 0 {
-			alpha = workload.DefaultParetoAlpha
-		}
-		arrival, err = workload.NewPareto(rate, alpha)
-	default:
-		return cluster.Config{}, fmt.Errorf("experiment: unknown arrival kind %q", s.Arrival)
-	}
-	if err != nil {
-		return cluster.Config{}, err
-	}
-
-	gen, err := workload.NewGenerator(workload.GeneratorConfig{
-		Servers: s.Servers,
-		Arrival: arrival,
-		Fanout:  s.Fanout,
-		Classes: s.Classes,
-	}, s.Fidelity.Seed)
+	gen, err := s.generator()
 	if err != nil {
 		return cluster.Config{}, err
 	}
@@ -127,6 +103,110 @@ func (s Scenario) Build() (cluster.Config, error) {
 		cfg.Admission = adm
 	}
 	return cfg, nil
+}
+
+// generator validates the scenario and builds its query source at its
+// load.
+func (s Scenario) generator() (*workload.Generator, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	rate, err := workload.RateForLoad(s.Load, s.Servers, s.Fanout.MeanTasks(), s.Workload.ServiceTime.Mean())
+	if err != nil {
+		return nil, err
+	}
+	var arrival workload.ArrivalProcess
+	switch s.Arrival {
+	case Poisson, "":
+		arrival, err = workload.NewPoisson(rate)
+	case Pareto:
+		alpha := s.ParetoAlpha
+		if alpha == 0 {
+			alpha = workload.DefaultParetoAlpha
+		}
+		arrival, err = workload.NewPareto(rate, alpha)
+	default:
+		return nil, fmt.Errorf("experiment: unknown arrival kind %q", s.Arrival)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return workload.NewGenerator(workload.GeneratorConfig{
+		Servers: s.Servers,
+		Arrival: arrival,
+		Fanout:  s.Fanout,
+		Classes: s.Classes,
+	}, s.Fidelity.Seed)
+}
+
+// census counts the post-warmup queries of each (class, fanout) type in
+// the scenario's stream, at class*(Fanout.Max()+1)+fanout: the sample
+// count every run of the scenario ends with when no query is rejected or
+// lost. It advances the generator without simulating. The count does not
+// depend on the load: Poisson and Pareto draw each gap with one call
+// whatever the rate, so query i's class, fanout and placement come from
+// the same draws at every load.
+func (s Scenario) census() ([]int, error) {
+	gen, err := s.generator()
+	if err != nil {
+		return nil, err
+	}
+	stride := s.Fanout.Max() + 1
+	counts := make([]int, s.Classes.Len()*stride)
+	for i := 0; i < s.Fidelity.Queries; i++ {
+		q, _ := gen.Next()
+		if i >= s.Fidelity.Warmup {
+			counts[q.Class*stride+q.Fanout]++
+		}
+		gen.Recycle(q.Servers)
+	}
+	return counts, nil
+}
+
+// sameStream reports whether a and b draw the same query stream: query
+// for query the same classes, fanouts and placements, with arrival gaps
+// that differ at most by a rate factor.
+func sameStream(a, b Scenario) bool {
+	return a.Servers == b.Servers && a.Arrival == b.Arrival && a.ParetoAlpha == b.ParetoAlpha &&
+		a.Fidelity.Seed == b.Fidelity.Seed && a.Fidelity.Queries == b.Fidelity.Queries &&
+		a.Fidelity.Warmup == b.Fidelity.Warmup && sameFanout(a.Fanout, b.Fanout) && sameMix(a.Classes, b.Classes)
+}
+
+// probeTwins reports whether one run answers both a's and b's max-load
+// probes at any load. That holds when the policy never reads an SLO (no
+// deadlines) and admission control, whose threshold would, is off: the
+// two then simulate the same stream through the same cluster, and only
+// their verdicts, read against each one's own class SLOs, differ.
+func probeTwins(a, b Scenario) bool {
+	return a.Spec.Deadline == core.DeadlineNone && a.AdmissionWindowMs <= 0 && b.AdmissionWindowMs <= 0 &&
+		a.Spec == b.Spec && a.Workload == b.Workload && a.Fidelity == b.Fidelity &&
+		a.Shards == b.Shards && a.ShardWindowMs == b.ShardWindowMs && sameStream(a, b)
+}
+
+// sameFanout compares two fanout distributions by identity (or value,
+// for value types), never panicking on an uncomparable implementation.
+func sameFanout(a, b workload.FanoutDist) bool {
+	t := reflect.TypeOf(a)
+	return t != nil && t.Comparable() && a == b
+}
+
+// sameMix reports whether two class sets draw the same class sequence
+// and rank classes alike: the same IDs with the same weights. Their SLOs
+// and percentiles may differ.
+func sameMix(a, b *workload.ClassSet) bool {
+	if a == b {
+		return true
+	}
+	ac, bc := a.Classes(), b.Classes()
+	if len(ac) != len(bc) {
+		return false
+	}
+	for i := range ac {
+		if ac[i].ID != bc[i].ID || ac[i].Weight != bc[i].Weight {
+			return false
+		}
+	}
+	return true
 }
 
 // Run builds and executes the scenario.

@@ -9,17 +9,24 @@ import (
 func TestBootstrapQuantileCICoverageRate(t *testing.T) {
 	// Exponential(1): true p99 = ln(100) ≈ 4.605. Across replications a
 	// 95% CI must cover the truth roughly 95% of the time; any single
-	// replication may legitimately miss, so assert the rate.
+	// replication may legitimately miss, so assert the rate. The seeds are
+	// fixed, so the exact count is pinned too: a change to the resampling
+	// shows up here even while the rate stays above the floor.
 	truth := math.Log(100)
-	const reps = 50
+	const (
+		reps        = 40
+		n           = 2000
+		resamples   = 100
+		wantCovered = 37
+	)
 	covered := 0
 	for rep := 0; rep < reps; rep++ {
-		r := NewLatencyRecorder(4000)
+		r := NewLatencyRecorder(n)
 		rng := rand.New(rand.NewSource(int64(rep + 1)))
-		for i := 0; i < 4000; i++ {
+		for i := 0; i < n; i++ {
 			_ = r.Observe(rng.ExpFloat64())
 		}
-		ci, err := BootstrapQuantileCI(r, 0.99, 150, 0.95, int64(rep+1000))
+		ci, err := BootstrapQuantileCI(r, 0.99, resamples, 0.95, int64(rep+1000))
 		if err != nil {
 			t.Fatalf("BootstrapQuantileCI: %v", err)
 		}
@@ -37,6 +44,9 @@ func TestBootstrapQuantileCICoverageRate(t *testing.T) {
 	// anything below 75% signals a real bug rather than bootstrap bias.
 	if rate := float64(covered) / reps; rate < 0.75 {
 		t.Errorf("coverage rate = %v (%d/%d), want >= 0.75", rate, covered, reps)
+	}
+	if covered != wantCovered {
+		t.Errorf("covered %d of %d, want exactly %d for these seeds", covered, reps, wantCovered)
 	}
 }
 

@@ -93,10 +93,15 @@ func (b *Breakdown[K]) Each(fn func(key K, r *LatencyRecorder)) {
 }
 
 // Reset discards all keys and samples, keeping the key and recorder
-// slices' capacity and the recorders (emptied onto a freelist in
-// first-observation order) for reuse.
+// slices' capacity and the recorders for reuse. They go onto the
+// freelist newest-first, so Observe, which pops from its end, hands the
+// first key of the next round the first key's recorder: a workload that
+// observes its keys in the same order every round keeps each recorder's
+// capacity with the key that grew it, instead of rotating capacities
+// until every recorder is as large as the largest.
 func (b *Breakdown[K]) Reset() {
-	for i, r := range b.recs {
+	for i := len(b.recs) - 1; i >= 0; i-- {
+		r := b.recs[i]
 		r.Reset()
 		b.free = append(b.free, r)
 		b.recs[i] = nil

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -190,6 +191,54 @@ func TestBreakdownResetForgetsKeysAndReusesRecorders(t *testing.T) {
 		_ = bd.Observe(b, 1)
 	}); allocs != 0 {
 		t.Errorf("warm Reset + Observe cycle allocated %v times, want 0", allocs)
+	}
+}
+
+// TestBreakdownResetReturnsEachKeyItsRecorder pins the freelist order: a
+// round that observes the same keys in the same order as the last one
+// gets every key its own recorder (and so its own sample capacity) back,
+// and three such rounds allocate nothing.
+func TestBreakdownResetReturnsEachKeyItsRecorder(t *testing.T) {
+	keys := []int{1, 10, 100}
+	sizes := []int{500, 50, 5} // per-key samples: capacities differ by key
+	bd := NewBreakdown[int](0)
+	round := func() {
+		for i, k := range keys {
+			for j := 0; j < sizes[i]; j++ {
+				_ = bd.Observe(k, 1)
+			}
+		}
+	}
+	round()
+	owner := make([]*LatencyRecorder, len(keys))
+	for i, k := range keys {
+		owner[i] = bd.Recorder(k)
+	}
+	// The first Reset grows the freelist itself; the three rounds after it
+	// are the ones that must not allocate.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var moved [4]int
+	var before, after runtime.MemStats
+	for r := range moved {
+		if r == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		bd.Reset()
+		round()
+		for i, k := range keys {
+			if bd.Recorder(k) != owner[i] {
+				moved[r]++
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("three Reset + Observe rounds allocated %d times, want 0", allocs)
+	}
+	for r, m := range moved {
+		if m != 0 {
+			t.Errorf("round %d: %d keys got another key's recorder after Reset, want 0", r+1, m)
+		}
 	}
 }
 

@@ -80,16 +80,31 @@ func (r *LatencyRecorder) Quantile(p float64) (float64, error) {
 		r.sorted = true
 	}
 	n := len(r.samples)
-	if n == 1 {
-		return r.samples[0], nil
-	}
-	pos := p * float64(n-1)
-	i := int(pos)
+	i, frac := rank(n, p)
 	if i >= n-1 {
 		return r.samples[n-1], nil
 	}
-	frac := pos - float64(i)
 	return r.samples[i] + frac*(r.samples[i+1]-r.samples[i]), nil
+}
+
+// rank is Quantile's index arithmetic: the p-quantile of n sorted
+// samples interpolates between order statistics i and i+1 at fraction
+// frac (i >= n-1 means the largest sample).
+func rank(n int, p float64) (i int, frac float64) {
+	pos := p * float64(n-1)
+	i = int(pos)
+	return i, pos - float64(i)
+}
+
+// ExceedQuota returns how many of n samples must lie above a threshold
+// for Quantile(p) over all n to be above it too, whatever the rest are:
+// Quantile reads order statistic i = int(p·(n−1)) and the ones after it,
+// so once n − i samples exceed the threshold, all of those do. It lets a
+// caller that knows a recorder's final count call an SLO check failed
+// before the last sample arrives; fewer exceedances decide nothing.
+func ExceedQuota(n int, p float64) int {
+	i, _ := rank(n, p)
+	return n - i
 }
 
 // P99 returns the 99th-percentile latency, the paper's headline statistic.

@@ -289,6 +289,23 @@ func (e *Engine) RunBefore(limit Time) {
 // completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
+// Drain empties the event queue without running anything, first passing
+// each pending event's payload (the arg and val it was scheduled with)
+// to visit. A caller that stopped a run early uses it to hand the objects
+// its pending events own back to their pools. Events are visited in a
+// fixed order for a given queue state; the clock is left where it is.
+func (e *Engine) Drain(visit func(arg any, val float64)) {
+	if e.heapRef {
+		for i := range e.events {
+			visit(e.events[i].arg, e.events[i].val)
+			e.events[i] = event{}
+		}
+		e.events = e.events[:0]
+		return
+	}
+	e.w.drain(visit)
+}
+
 // Reset returns the engine to its initial state (clock at zero, no
 // pending events) while keeping the event queue's capacity — wheel slot
 // slices, overflow heap, and reference heap alike — so a pooled engine

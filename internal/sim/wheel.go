@@ -273,7 +273,12 @@ func (w *wheel) rebase() {
 // reset empties the wheel for reuse, zeroing stored events (releasing
 // their callbacks and payloads for GC) while keeping every slot's and
 // the far heap's capacity.
-func (w *wheel) reset() {
+func (w *wheel) reset() { w.drain(nil) }
+
+// drain is reset that first passes every pending event's payload to
+// visit (when non-nil): level by level, slot by slot, then the far heap.
+// The current batch's consumed entries are already zeroed and skipped.
+func (w *wheel) drain(visit func(arg any, val float64)) {
 	for l := 0; l < wheelLevels; l++ {
 		m := w.occ[l]
 		for m != 0 {
@@ -281,6 +286,9 @@ func (w *wheel) reset() {
 			m &^= 1 << s
 			sp := &w.slots[l][s]
 			for i := range *sp {
+				if ev := &(*sp)[i]; visit != nil && ev.h != nil {
+					visit(ev.arg, ev.val)
+				}
 				(*sp)[i] = event{}
 			}
 			*sp = (*sp)[:0]
@@ -288,6 +296,9 @@ func (w *wheel) reset() {
 		w.occ[l] = 0
 	}
 	for i := range w.far {
+		if visit != nil {
+			visit(w.far[i].arg, w.far[i].val)
+		}
 		w.far[i] = event{}
 	}
 	w.far = w.far[:0]

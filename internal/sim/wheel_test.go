@@ -199,6 +199,59 @@ func TestWheelResetReuse(t *testing.T) {
 	}
 }
 
+// Drain must hand over exactly the payloads of the events still pending
+// — across the current batch (partly consumed), every wheel level, the
+// far heap and closures — and leave an empty engine that runs new
+// events normally, on the wheel and the reference heap alike.
+func TestDrainVisitsEveryPendingPayload(t *testing.T) {
+	for name, e := range map[string]*Engine{"wheel": NewEngine(), "heap": NewHeapEngine()} {
+		ran := map[float64]bool{}
+		h := func(_ any, val float64) { ran[val] = true }
+		times := []Time{0.5, 0.5, 0.5, 0.51, 3, 90, 5000, 2e6, 1e9, math.Inf(1)}
+		for i, at := range times {
+			if err := e.ScheduleCall(at, h, &times[i], float64(i)); err != nil {
+				t.Fatalf("%s: ScheduleCall(%v): %v", name, at, err)
+			}
+		}
+		if err := e.Schedule(4, func() {}); err != nil {
+			t.Fatalf("%s: Schedule: %v", name, err)
+		}
+		e.Step() // consume part of the 0.5 ms batch
+		e.Step()
+		visited := map[float64]bool{}
+		closures := 0
+		e.Drain(func(arg any, val float64) {
+			switch p := arg.(type) {
+			case *Time:
+				if *p != times[int(val)] {
+					t.Errorf("%s: payload %v arrived with val %v", name, *p, val)
+				}
+				visited[val] = true
+			case func():
+				closures++
+			default:
+				t.Errorf("%s: unexpected payload %T", name, arg)
+			}
+		})
+		for i := range times {
+			if ran[float64(i)] == visited[float64(i)] {
+				t.Errorf("%s: event %d ran=%v visited=%v, want exactly one", name, i, ran[float64(i)], visited[float64(i)])
+			}
+		}
+		if closures != 1 || e.Pending() != 0 {
+			t.Errorf("%s: %d closures visited, %d events pending after Drain; want 1 and 0", name, closures, e.Pending())
+		}
+		fired := false
+		if err := e.ScheduleCallAfter(1, func(any, float64) { fired = true }, nil, 0); err != nil {
+			t.Fatalf("%s: ScheduleCallAfter: %v", name, err)
+		}
+		e.Run()
+		if !fired || e.Pending() != 0 {
+			t.Errorf("%s: engine after Drain did not run a new event", name)
+		}
+	}
+}
+
 // benchEngine measures the classic hold model on either queue: a
 // standing population of events where each pop reschedules one event a
 // pseudo-random near-future delay ahead — the simulator's steady-state
