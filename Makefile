@@ -126,11 +126,15 @@ shard-smoke:
 # end-to-end resilient faulted run on the wheel engine and on the
 # reference binary heap must produce bit-identical Results, the
 # randomized wheel-vs-heap pop order and least-loaded index-vs-scan
-# property suites must hold, and the max-load search's early-stopped,
+# property suites must hold, the max-load search's early-stopped,
 # shared-row probes must give every row the verdict its own full run
-# gives (960-probe differential).
+# gives (960-probe differential), the in-place query fill must give the
+# by-value stream with fanout-sized placements that recycle without
+# allocating, and quantiles read by selection must equal sorted ones.
 perf-smoke:
 	$(GO) test ./internal/cluster -run 'TestPerfSmokeWheelVsHeap|TestLeastLoadedIndexMatchesScanEndToEnd|TestEarlyStop|TestStoppedRunAllocations' -count=1
+	$(GO) test ./internal/workload -run 'TestNextMatchesNextInto|TestNextIntoRecycleAllocationFree|TestRecycledPlacementServesItsFanout' -count=1
+	$(GO) test ./internal/metrics -run 'TestQuantileSelectionMatchesSort|TestBootstrapQuantileCIPinned' -count=1
 	$(GO) test ./internal/sim -run 'TestWheel|FuzzWheelVsHeapPopOrder|TestDrain' -count=1
 	$(GO) test ./internal/experiment -run 'TestEarlyStopSharedVerdictsMatchFullRuns|TestCensusDoesNotDependOnLoad|TestBisectMatchesMaxLoadPerRow' -count=1 -v
 

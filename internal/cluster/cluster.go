@@ -995,12 +995,12 @@ func (r *runner) drain() {
 		case *policy.Task:
 			a.tasks.Put(p)
 		case *workload.Query:
-			r.recycle(*p, val != 0) // val != 0 marks a hook-injected arrival
+			r.recycle(p.Servers, val != 0) // val != 0 marks a hook-injected arrival
 			a.putQueryBox(p)
 		}
 	})
 	if r.pending != nil {
-		r.recycle(*r.pending, false)
+		r.recycle(r.pending.Servers, false)
 		a.putQueryBox(r.pending)
 		r.pending = nil
 	}
@@ -1009,7 +1009,7 @@ func (r *runner) drain() {
 			a.tasks.Put(t)
 		}
 	}
-	a.states.reset(func(st *queryState) { r.recycle(st.query, st.injected) })
+	a.states.reset(func(st *queryState) { r.recycle(st.query.Servers, st.injected) })
 }
 
 // checkStop counts a recorded latency against every early-stop check not
@@ -1077,30 +1077,35 @@ func deadlineForQuery(cfg *Config, q *workload.Query) (float64, error) {
 	return cfg.Deadliner.Deadline(q.Arrival, q.Class, q.Fanout)
 }
 
-// scheduleNextArrival draws the next query from the generator and
-// schedules its arrival event; each arrival schedules its successor until
-// Queries have been generated or the source ends.
+// scheduleNextArrival has the source write the next query into a pooled
+// box and schedules its arrival event; each arrival schedules its
+// successor until Queries have been generated or the source ends.
+//
+//tg:hotpath
 func (r *runner) scheduleNextArrival() error {
 	if r.res.Queries >= r.cfg.Queries {
 		return nil
 	}
-	q, ok := r.cfg.Generator.Next()
-	if !ok {
+	box := r.arena.getQueryBox()
+	if !r.cfg.Generator.NextInto(box) {
+		r.arena.putQueryBox(box)
 		return nil
 	}
 	r.res.Queries++
-	box := r.arena.getQueryBox()
-	*box = q
-	return r.engine.ScheduleCall(q.Arrival, r.arrivalH, box, 0)
+	return r.engine.ScheduleCall(box.Arrival, r.arrivalH, box, 0)
 }
 
-// onArrivalEvent unboxes an arrival event's query (val != 0 marks hook
-// injection) and recycles the box before processing.
+// onArrivalEvent processes an arrival event's query in its box (val != 0
+// marks hook injection), then returns the box to the pool unless the
+// credit gate parked it.
+//
+//tg:hotpath
 func (r *runner) onArrivalEvent(arg any, val float64) {
 	box := arg.(*workload.Query)
-	q := *box
-	r.arena.putQueryBox(box)
-	r.onArrival(q, val != 0)
+	r.onArrival(box, val != 0)
+	if box != r.pending {
+		r.arena.putQueryBox(box)
+	}
 }
 
 // onEnqueueEvent delivers a dispatched task to its server's queue.
@@ -1117,16 +1122,22 @@ func (r *runner) onCompleteEvent(arg any, val float64) {
 
 // recycle returns a query's placement slice to its source. Injected
 // queries are skipped: their Servers belong to the completion hook.
-func (r *runner) recycle(q workload.Query, injected bool) {
-	if r.recycler == nil || injected || q.Servers == nil {
+//
+//tg:hotpath
+func (r *runner) recycle(servers []int, injected bool) {
+	if r.recycler == nil || injected || servers == nil {
 		return
 	}
-	r.recycler.Recycle(q.Servers)
+	r.recycler.Recycle(servers)
 }
 
-// onArrival processes one query arrival: admission, deadline computation,
-// and task dispatch. Injected queries (request chaining) skip admission.
-func (r *runner) onArrival(q workload.Query, injected bool) {
+// onArrival processes one query arrival, read from its box: admission,
+// deadline computation, and task dispatch. Injected queries (request
+// chaining) skip admission. The query state keeps the one copy of q the
+// run makes; the box itself goes back to the pool after this returns.
+//
+//tg:hotpath
+func (r *runner) onArrival(q *workload.Query, injected bool) {
 	if !injected {
 		if r.gate != nil && !r.gate.TryAcquire() {
 			// Credit gate exhausted: park this arrival and stop drawing
@@ -1134,9 +1145,7 @@ func (r *runner) onArrival(q workload.Query, injected bool) {
 			// (settleCredit re-injects it and resumes the chain). The
 			// source is blocked, not shedding — nothing is rejected here.
 			r.res.CreditDeferred++
-			box := r.arena.getQueryBox()
-			*box = q
-			r.pending = box
+			r.pending = q
 			return
 		}
 		if err := r.scheduleNextArrival(); err != nil {
@@ -1161,7 +1170,7 @@ func (r *runner) onArrival(q workload.Query, injected bool) {
 		}
 		r.obs.Query(obs.KindReject, q.Arrival, q.ID, int32(q.Class), 1)
 		r.settleCredit(q.Arrival)
-		r.recycle(q, injected)
+		r.recycle(q.Servers, injected)
 		return
 	}
 	if !injected && r.cfg.Admission != nil && !r.cfg.Admission.Admit(q.Arrival) {
@@ -1171,7 +1180,7 @@ func (r *runner) onArrival(q workload.Query, injected bool) {
 		}
 		r.obs.Query(obs.KindReject, q.Arrival, q.ID, int32(q.Class), 0)
 		r.settleCredit(q.Arrival)
-		r.recycle(q, injected)
+		r.recycle(q.Servers, injected)
 		return
 	}
 	r.res.Admitted++
@@ -1182,18 +1191,18 @@ func (r *runner) onArrival(q workload.Query, injected bool) {
 		r.res.TimelineAdmitted[r.timelineBucket(q.Arrival)]++
 	}
 
-	deadline, err := deadlineForQuery(&r.cfg, &q)
+	deadline, err := deadlineForQuery(&r.cfg, q)
 	if err != nil {
-		r.fail(fmt.Errorf("cluster: deadline for query %d: %w", q.ID, err))
+		r.fail(fmt.Errorf("cluster: deadline for query %d: %w", q.ID, err)) //tg:cold config error, aborts the run
 		return
 	}
 	r.obs.Query(obs.KindDeadline, q.Arrival, q.ID, int32(q.Class), deadline)
 	st, ok := r.arena.states.claim(q.ID)
 	if !ok {
-		r.fail(fmt.Errorf("cluster: duplicate query ID %d", q.ID))
+		r.fail(fmt.Errorf("cluster: duplicate query ID %d", q.ID)) //tg:cold malformed source, aborts the run
 		return
 	}
-	st.query = q
+	st.query = *q
 	st.stragTask, st.stragSrv = -1, -1
 	st.lostSrv = -1
 	st.remaining = int32(q.Fanout)
@@ -1748,10 +1757,10 @@ func (r *runner) settleCredit(now float64) {
 // this returns.
 func (r *runner) onQueryDone(id int64, st *queryState) {
 	now := r.engine.Now()
-	q := st.query
+	arrival, cls, fanout, servers := st.query.Arrival, st.query.Class, st.query.Fanout, st.query.Servers
 	injected := st.injected
 	counted := st.counted
-	latency := st.maxFinish - q.Arrival
+	latency := st.maxFinish - arrival
 	if !injected {
 		r.live--
 	}
@@ -1769,13 +1778,13 @@ func (r *runner) onQueryDone(id int64, st *queryState) {
 		if !injected {
 			r.settleCredit(now)
 		}
-		r.recycle(q, injected)
+		r.recycle(servers, injected)
 		return
 	}
 	r.res.Completed++
 	var sloMs float64
 	if (r.attrib != nil && counted) || r.missWin != nil || r.ctlWin != nil {
-		class, err := r.cfg.Classes.Class(q.Class)
+		class, err := r.cfg.Classes.Class(cls)
 		if err != nil {
 			r.fail(fmt.Errorf("cluster: attributing query %d: %w", id, err))
 			return
@@ -1790,8 +1799,8 @@ func (r *runner) onQueryDone(id int64, st *queryState) {
 	if r.attrib != nil && counted {
 		r.attrib.Observe(obs.QueryOutcome{
 			QueryID:            id,
-			Class:              q.Class,
-			Fanout:             q.Fanout,
+			Class:              cls,
+			Fanout:             fanout,
 			LatencyMs:          latency,
 			SLOMs:              sloMs,
 			StragglerTask:      st.stragTask,
@@ -1800,10 +1809,15 @@ func (r *runner) onQueryDone(id int64, st *queryState) {
 			StragglerServiceMs: st.stragSvc,
 		})
 	}
+	// The completion hook is the one reader of the whole query; only a run
+	// with a hook copies it out before the state is released.
+	var done workload.Query
+	if r.cfg.OnQueryDone != nil {
+		done = st.query
+	}
 	r.arena.states.release(id)
-	r.obs.Query(obs.KindQueryDone, now, id, int32(q.Class), latency)
+	r.obs.Query(obs.KindQueryDone, now, id, int32(cls), latency)
 	if counted {
-		cls, fanout := q.Class, q.Fanout
 		if err := r.res.Overall.Observe(latency); err != nil {
 			r.fail(err)
 			return
@@ -1821,7 +1835,7 @@ func (r *runner) onQueryDone(id int64, st *queryState) {
 			return
 		}
 		if r.res.Timeline != nil {
-			if err := r.res.Timeline.Observe(r.timelineBucket(q.Arrival), latency); err != nil {
+			if err := r.res.Timeline.Observe(r.timelineBucket(arrival), latency); err != nil {
 				r.fail(err)
 				return
 			}
@@ -1834,20 +1848,21 @@ func (r *runner) onQueryDone(id int64, st *queryState) {
 		r.settleCredit(now)
 	}
 	if r.cfg.OnQueryDone != nil {
-		for _, next := range r.cfg.OnQueryDone(q, latency, now) {
-			if next.Arrival < now {
-				next.Arrival = now
-			}
+		next := r.cfg.OnQueryDone(done, latency, now)
+		for i := range next {
 			r.res.Injected++
 			box := r.arena.getQueryBox()
-			*box = next
-			if err := r.engine.ScheduleCall(next.Arrival, r.arrivalH, box, 1); err != nil {
+			*box = next[i]
+			if box.Arrival < now {
+				box.Arrival = now
+			}
+			if err := r.engine.ScheduleCall(box.Arrival, r.arrivalH, box, 1); err != nil {
 				r.fail(err)
 				return
 			}
 		}
 	}
-	r.recycle(q, injected)
+	r.recycle(servers, injected)
 }
 
 // finalize computes the run-level aggregates.

@@ -71,7 +71,7 @@ func TestEarlyStopNeverStopsAPassingRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("early-stop Run: %v", err)
 			}
-			// Compared before any quantile is read: reading one sorts a
+			// Compared before any quantile is read: reading one reorders a
 			// recorder, and Equal compares samples in recorded order.
 			var differs error
 			if !res.Stopped {
@@ -165,7 +165,7 @@ type loopSource struct {
 	free [][]int
 }
 
-func (s *loopSource) Next() (workload.Query, bool) {
+func (s *loopSource) NextInto(q *workload.Query) bool {
 	var servers []int
 	if k := len(s.free); k > 0 {
 		servers, s.free = s.free[k-1], s.free[:k-1]
@@ -173,9 +173,9 @@ func (s *loopSource) Next() (workload.Query, bool) {
 		servers = make([]int, 2)
 	}
 	servers[0], servers[1] = int(s.n%4), int((s.n+1)%4)
-	q := workload.Query{ID: s.n, Arrival: float64(s.n) * 0.4, Fanout: 2, Servers: servers}
+	*q = workload.Query{ID: s.n, Arrival: float64(s.n) * 0.4, Fanout: 2, Servers: servers}
 	s.n++
-	return q, true
+	return true
 }
 
 func (s *loopSource) Recycle(servers []int) { s.free = append(s.free, servers) }

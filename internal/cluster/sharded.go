@@ -494,20 +494,17 @@ type shardPump struct {
 	timelineAdmitted map[int]int
 }
 
-// next prefetches the pump's next query, mirroring the sequential
-// engine's one-ahead generator draw discipline (one Next call per
-// generated query, in arrival order).
+// next prefetches the pump's next query into pending, mirroring the
+// sequential engine's one-ahead generator draw discipline (one NextInto
+// call per generated query, in arrival order).
+//
+//tg:hotpath
 func (p *shardPump) next() {
 	p.have = false
-	if p.generated >= p.cfg.Queries {
-		return
-	}
-	q, ok := p.cfg.Generator.Next()
-	if !ok {
+	if p.generated >= p.cfg.Queries || !p.cfg.Generator.NextInto(&p.pending) {
 		return
 	}
 	p.generated++
-	p.pending = q
 	p.have = true
 }
 
@@ -517,7 +514,7 @@ func (p *shardPump) next() {
 //
 //tg:hotpath
 func (p *shardPump) emitQuery(b *shardBatch) error {
-	q := p.pending
+	q := &p.pending
 	if q.Arrival < p.lastArr {
 		return fmt.Errorf("cluster: sharded run requires nondecreasing arrivals: query %d at %v after %v", q.ID, q.Arrival, p.lastArr) //tg:cold malformed source
 	}
@@ -530,7 +527,7 @@ func (p *shardPump) emitQuery(b *shardBatch) error {
 	if p.timelineAdmitted != nil {
 		p.timelineAdmitted[int(q.Arrival/cfg.TimelineBucketMs)]++
 	}
-	deadline, err := deadlineForQuery(cfg, &q)
+	deadline, err := deadlineForQuery(cfg, q)
 	if err != nil {
 		return fmt.Errorf("cluster: deadline for query %d: %w", q.ID, err) //tg:cold config error
 	}
@@ -745,9 +742,9 @@ func (m *shardMerger) apply(r *mergeRec) {
 // onQueryDone minus the features validateSharded rejects. st is released
 // (and invalid) once this returns.
 func (m *shardMerger) queryDone(id int64, st *queryState) {
-	q := st.query
+	arrival, cls, fanout := st.query.Arrival, st.query.Class, st.query.Fanout
 	counted := st.counted
-	latency := st.maxFinish - q.Arrival
+	latency := st.maxFinish - arrival
 	if st.failed {
 		m.res.Failed++
 		m.states.release(id)
@@ -755,15 +752,15 @@ func (m *shardMerger) queryDone(id int64, st *queryState) {
 	}
 	m.res.Completed++
 	if m.attrib != nil && counted {
-		class, err := m.cfg.Classes.Class(q.Class)
+		class, err := m.cfg.Classes.Class(cls)
 		if err != nil {
 			m.err = fmt.Errorf("cluster: attributing query %d: %w", id, err)
 			return
 		}
 		m.attrib.Observe(obs.QueryOutcome{
 			QueryID:            id,
-			Class:              q.Class,
-			Fanout:             q.Fanout,
+			Class:              cls,
+			Fanout:             fanout,
 			LatencyMs:          latency,
 			SLOMs:              class.SLOMs,
 			StragglerTask:      st.stragTask,
@@ -774,7 +771,6 @@ func (m *shardMerger) queryDone(id int64, st *queryState) {
 	}
 	m.states.release(id)
 	if counted {
-		cls, fanout := q.Class, q.Fanout
 		if err := m.res.Overall.Observe(latency); err != nil {
 			m.err = err
 			return
@@ -792,7 +788,7 @@ func (m *shardMerger) queryDone(id int64, st *queryState) {
 			return
 		}
 		if m.res.Timeline != nil {
-			if err := m.res.Timeline.Observe(int(q.Arrival/m.cfg.TimelineBucketMs), latency); err != nil {
+			if err := m.res.Timeline.Observe(int(arrival/m.cfg.TimelineBucketMs), latency); err != nil {
 				m.err = err
 				return
 			}

@@ -153,8 +153,9 @@ func (s Scenario) census() ([]int, error) {
 	}
 	stride := s.Fanout.Max() + 1
 	counts := make([]int, s.Classes.Len()*stride)
+	var q workload.Query
 	for i := 0; i < s.Fidelity.Queries; i++ {
-		q, _ := gen.Next()
+		gen.NextInto(&q)
 		if i >= s.Fidelity.Warmup {
 			counts[q.Class*stride+q.Fanout]++
 		}

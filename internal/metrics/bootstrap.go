@@ -48,10 +48,11 @@ func BootstrapQuantileCI(r *LatencyRecorder, p float64, resamples int, conf floa
 	if err != nil {
 		return QuantileCI{}, err
 	}
-	// Read the recorder's samples in place: resampling only indexes into
-	// them, and their order (sorted, after the Quantile call above) is the
-	// same the former copy had, so the draws are unchanged.
+	// Resample from the recorder's samples in place, in ascending order:
+	// a draw is an index, so the order decides which values each resample
+	// gets, and ascending is the order the intervals are defined over.
 	samples := r.samples
+	sort.Float64s(samples)
 	n := len(samples)
 	m := n
 	const mCap = 20000
@@ -73,15 +74,7 @@ func BootstrapQuantileCI(r *LatencyRecorder, p float64, resamples int, conf floa
 		for i := range buf {
 			buf[i] = samples[rng.Intn(n)]
 		}
-		sort.Float64s(buf)
-		pos := p * float64(m-1)
-		i := int(pos)
-		if i >= m-1 {
-			stats[b] = buf[m-1]
-		} else {
-			frac := pos - float64(i)
-			stats[b] = buf[i] + frac*(buf[i+1]-buf[i])
-		}
+		stats[b] = quantile(buf, p)
 	}
 	sort.Float64s(stats)
 	alpha := (1 - conf) / 2

@@ -50,6 +50,26 @@ func TestBootstrapQuantileCICoverageRate(t *testing.T) {
 	}
 }
 
+// TestBootstrapQuantileCIPinned pins one interval bit for bit. The
+// resamples draw indices into the samples in ascending order, so any
+// change to that order, to the resampling or to the quantile arithmetic
+// moves these values.
+func TestBootstrapQuantileCIPinned(t *testing.T) {
+	r := NewLatencyRecorder(5000)
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 5000; i++ {
+		_ = r.Observe(rng.ExpFloat64())
+	}
+	ci, err := BootstrapQuantileCI(r, 0.99, 200, 0.95, 30)
+	if err != nil {
+		t.Fatalf("BootstrapQuantileCI: %v", err)
+	}
+	want := QuantileCI{Point: 4.458144967012138, Lo: 4.146965488155584, Hi: 4.877551347549511}
+	if ci != want {
+		t.Errorf("CI = %+v, want %+v", ci, want)
+	}
+}
+
 func TestBootstrapQuantileCIShrinksWithSamples(t *testing.T) {
 	width := func(n int) float64 {
 		r := NewLatencyRecorder(n)

@@ -1,10 +1,12 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -63,7 +65,7 @@ func TestLatencyRecorderObserveAfterQuantile(t *testing.T) {
 	if _, err := r.Quantile(0.5); err != nil {
 		t.Fatalf("Quantile: %v", err)
 	}
-	// Observing after a quantile query must invalidate the sort cache.
+	// A sample observed after a quantile query must count in the next one.
 	_ = r.Observe(1)
 	q, err := r.Quantile(0)
 	if err != nil {
@@ -118,6 +120,99 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Errorf("quantile monotonicity violated: %v", err)
 	}
+}
+
+// sortedQuantile is the reference Quantile selects against: sort a copy,
+// then interpolate between order statistics i and i+1.
+func sortedQuantile(samples []float64, p float64) float64 {
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	n := len(s)
+	i, frac := rank(n, p)
+	if i >= n-1 {
+		return s[n-1]
+	}
+	return s[i] + frac*(s[i+1]-s[i])
+}
+
+// TestQuantileSelectionMatchesSort: selecting the order statistics gives
+// every quantile bit for bit what sorting gives. The inputs cover random,
+// duplicate-heavy, +Inf-laden, sorted and reversed samples at sizes from
+// 1 to 10^4; p covers 0, 1, a grid, and the exact rank boundaries j/(n-1);
+// one recorder answers every p in turn, so later queries run on the order
+// earlier ones left; and samples observed after a query count in the next.
+func TestQuantileSelectionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	kinds := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"random", func(int, int) float64 { return rng.ExpFloat64() }},
+		{"duplicates", func(int, int) float64 { return float64(rng.Intn(4)) }},
+		{"constant", func(int, int) float64 { return 2.5 }},
+		{"inf", func(int, int) float64 {
+			if rng.Intn(8) == 0 {
+				return math.Inf(1)
+			}
+			return rng.Float64()
+		}},
+		{"ascending", func(i, _ int) float64 { return float64(i) }},
+		{"descending", func(i, n int) float64 { return float64(n - i) }},
+	}
+	var sizes []int
+	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 100, 257, 1000, 4096, 10000)
+	grid := []float64{0, 1e-9, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999, 1 - 1e-12, 1}
+	check := func(name string, r *LatencyRecorder, ps []float64) {
+		t.Helper()
+		for _, p := range ps {
+			want := sortedQuantile(r.samples, p)
+			got, err := r.Quantile(p)
+			if err != nil {
+				t.Fatalf("%s: Quantile(%v): %v", name, p, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Quantile(%v) = %v, sort gives %v", name, p, got, want)
+			}
+		}
+	}
+	for _, kind := range kinds {
+		gen := kind.gen
+		for _, n := range sizes {
+			name := fmt.Sprintf("%s n=%d", kind.name, n)
+			r := NewLatencyRecorder(n)
+			for i := 0; i < n; i++ {
+				if err := r.Observe(gen(i, n)); err != nil {
+					t.Fatalf("%s: Observe: %v", name, err)
+				}
+			}
+			before := ascending(r.Samples())
+			ps := append([]float64(nil), grid...)
+			if n > 1 {
+				for _, j := range []int{0, 1, n / 3, n / 2, n - 2, n - 1} {
+					ps = append(ps, float64(j)/float64(n-1))
+				}
+			}
+			check(name, r, ps)
+			if after := ascending(r.Samples()); !reflect.DeepEqual(before, after) {
+				t.Fatalf("%s: quantile queries changed the sample multiset", name)
+			}
+			for i := 0; i < 1+n/10; i++ {
+				if err := r.Observe(gen(i, n)); err != nil {
+					t.Fatalf("%s: Observe: %v", name, err)
+				}
+			}
+			check(name+" after Observe", r, []float64{0.99, 0.5, 0, 1})
+		}
+	}
+}
+
+// ascending sorts s in place and returns it.
+func ascending(s []float64) []float64 {
+	sort.Float64s(s)
+	return s
 }
 
 func TestBreakdown(t *testing.T) {
@@ -249,79 +344,6 @@ func TestBreakdownStringKeys(t *testing.T) {
 	keys := StringKeys(b)
 	if len(keys) != 2 || keys[0] != "masstree" || keys[1] != "xapian" {
 		t.Errorf("StringKeys = %v, want [masstree xapian]", keys)
-	}
-}
-
-func TestMovingRatio(t *testing.T) {
-	m, err := NewMovingRatio(4)
-	if err != nil {
-		t.Fatalf("NewMovingRatio: %v", err)
-	}
-	if got := m.Ratio(); got != 0 {
-		t.Errorf("empty Ratio() = %v, want 0", got)
-	}
-	m.Add(true)
-	m.Add(false)
-	if got := m.Ratio(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Ratio() = %v, want 0.5", got)
-	}
-	if m.Full() {
-		t.Error("Full() = true with 2/4 observations")
-	}
-	m.Add(false)
-	m.Add(false)
-	if !m.Full() {
-		t.Error("Full() = false with 4/4 observations")
-	}
-	if got := m.Ratio(); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("Ratio() = %v, want 0.25", got)
-	}
-	// Eviction: the initial true rolls out.
-	m.Add(false)
-	if got := m.Ratio(); got != 0 {
-		t.Errorf("Ratio() after eviction = %v, want 0", got)
-	}
-	m.Add(true)
-	m.Reset()
-	if m.Count() != 0 || m.Ratio() != 0 {
-		t.Errorf("Reset left state: count=%d ratio=%v", m.Count(), m.Ratio())
-	}
-}
-
-func TestMovingRatioInvalid(t *testing.T) {
-	if _, err := NewMovingRatio(0); err == nil {
-		t.Error("NewMovingRatio(0) succeeded, want error")
-	}
-}
-
-// Property: ratio always equals the true fraction of the last capacity bits.
-func TestMovingRatioMatchesNaive(t *testing.T) {
-	const capacity = 16
-	m, err := NewMovingRatio(capacity)
-	if err != nil {
-		t.Fatalf("NewMovingRatio: %v", err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	var history []bool
-	for i := 0; i < 1000; i++ {
-		v := rng.Intn(2) == 0
-		m.Add(v)
-		history = append(history, v)
-		lo := len(history) - capacity
-		if lo < 0 {
-			lo = 0
-		}
-		var trues, n int
-		for _, h := range history[lo:] {
-			n++
-			if h {
-				trues++
-			}
-		}
-		want := float64(trues) / float64(n)
-		if math.Abs(m.Ratio()-want) > 1e-12 {
-			t.Fatalf("step %d: Ratio() = %v, want %v", i, m.Ratio(), want)
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package metrics provides the measurement substrate for TailGuard
 // experiments: exact-quantile latency recorders, per-key breakdowns
-// (per class, per fanout), moving-window ratio trackers used by admission
-// control, and busy-time utilization meters.
+// (per class, per fanout), bootstrap confidence intervals, and busy-time
+// utilization meters.
 //
 // All values are float64 latencies/times in the caller's unit (the
 // simulator uses milliseconds). Types in this package are not safe for
@@ -12,16 +12,19 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
 // LatencyRecorder accumulates latency samples and answers exact quantile
-// queries over them. Quantiles are computed from the full sample set
-// (sorted lazily and cached), which is what tail-latency SLO compliance
-// checks need — estimators would blur exactly the statistic under study.
+// queries over them. Quantiles are computed from the full sample set,
+// which is what tail-latency SLO compliance checks need — estimators would
+// blur exactly the statistic under study. A query selects the order
+// statistics it reads in place rather than sorting, so after one the
+// samples are in an unspecified order; it is deterministic, a function of
+// the observations and queries alone.
 type LatencyRecorder struct {
 	samples []float64
-	sorted  bool
 	sum     float64
 	max     float64
 }
@@ -43,7 +46,6 @@ func (r *LatencyRecorder) Observe(v float64) error {
 		return fmt.Errorf("metrics: invalid latency sample %v", v) //tg:cold error path, indicates an upstream bug
 	}
 	r.samples = append(r.samples, v)
-	r.sorted = false
 	r.sum += v
 	if v > r.max {
 		r.max = v
@@ -67,7 +69,7 @@ func (r *LatencyRecorder) Max() float64 { return r.max }
 
 // Quantile returns the exact p-quantile (nearest-rank with linear
 // interpolation between order statistics), or an error when empty or when
-// p is outside [0, 1].
+// p is outside [0, 1]. It reorders the samples (see LatencyRecorder).
 func (r *LatencyRecorder) Quantile(p float64) (float64, error) {
 	if len(r.samples) == 0 {
 		return 0, fmt.Errorf("metrics: quantile of empty recorder")
@@ -75,16 +77,7 @@ func (r *LatencyRecorder) Quantile(p float64) (float64, error) {
 	if p < 0 || p > 1 {
 		return 0, fmt.Errorf("metrics: probability %v outside [0, 1]", p)
 	}
-	if !r.sorted {
-		sort.Float64s(r.samples)
-		r.sorted = true
-	}
-	n := len(r.samples)
-	i, frac := rank(n, p)
-	if i >= n-1 {
-		return r.samples[n-1], nil
-	}
-	return r.samples[i] + frac*(r.samples[i+1]-r.samples[i]), nil
+	return quantile(r.samples, p), nil
 }
 
 // rank is Quantile's index arithmetic: the p-quantile of n sorted
@@ -94,6 +87,84 @@ func rank(n int, p float64) (i int, frac float64) {
 	pos := p * float64(n-1)
 	i = int(pos)
 	return i, pos - float64(i)
+}
+
+// quantile returns the p-quantile of the non-empty, NaN-free s, bit for
+// bit what sorting s and interpolating between order statistics i and
+// i+1 gives, but in O(len(s)): it selects order statistic i into s[i]
+// and takes i+1 as the least sample after it. s is reordered.
+//
+//tg:hotpath
+func quantile(s []float64, p float64) float64 {
+	n := len(s)
+	i, frac := rank(n, p)
+	if i >= n-1 {
+		selectNth(s, n-1)
+		return s[n-1]
+	}
+	selectNth(s, i)
+	next := s[i+1]
+	for _, v := range s[i+2:] {
+		if v < next {
+			next = v
+		}
+	}
+	return s[i] + frac*(next-s[i])
+}
+
+// selectNth reorders the NaN-free s so that s[k] holds the value sorting
+// would put there, with no larger sample before it and no smaller one
+// after it: a quickselect with Hoare partitioning, which splits runs of
+// equal samples evenly. Each pivot is the median of its window's first,
+// middle and last samples, so the order it leaves depends on the input
+// order alone. Small windows, and any window still open after
+// 2·log2(len(s)) partitions (an adversarial order), are sorted outright,
+// which bounds the work at O(n log n).
+//
+//tg:hotpath
+func selectNth(s []float64, k int) {
+	lo, hi := 0, len(s)-1
+	for budget := 2 * bits.Len(uint(len(s))); hi > lo; budget-- {
+		if budget == 0 || hi-lo < 16 {
+			sort.Float64s(s[lo : hi+1])
+			return
+		}
+		m := lo + (hi-lo)/2
+		if s[m] < s[lo] {
+			s[m], s[lo] = s[lo], s[m]
+		}
+		if s[hi] < s[m] {
+			s[hi], s[m] = s[m], s[hi]
+			if s[m] < s[lo] {
+				s[m], s[lo] = s[lo], s[m]
+			}
+		}
+		pivot := s[m]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for pivot < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// Now s[lo:i] <= pivot <= s[j+1:hi+1], and j < i; anything between
+		// j and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // ExceedQuota returns how many of n samples must lie above a threshold
@@ -110,8 +181,9 @@ func ExceedQuota(n int, p float64) int {
 // P99 returns the 99th-percentile latency, the paper's headline statistic.
 func (r *LatencyRecorder) P99() (float64, error) { return r.Quantile(0.99) }
 
-// Samples returns a copy of the recorded samples (sorted if a quantile was
-// queried since the last Observe, in insertion order otherwise).
+// Samples returns a copy of the recorded samples: in insertion order when
+// no quantile was queried since the last Reset, in the unspecified
+// deterministic order quantile queries leave otherwise.
 func (r *LatencyRecorder) Samples() []float64 {
 	return append([]float64(nil), r.samples...)
 }
@@ -119,7 +191,6 @@ func (r *LatencyRecorder) Samples() []float64 {
 // Reset discards all samples but keeps the allocated capacity.
 func (r *LatencyRecorder) Reset() {
 	r.samples = r.samples[:0]
-	r.sorted = false
 	r.sum = 0
 	r.max = 0
 }

@@ -50,7 +50,7 @@ type reqState struct {
 // the query source for each request's first query, and the completion hook
 // chains the remaining queries and records request latencies.
 //
-// The single rng is shared between arrival-gap sampling (Next) and server
+// The single rng is shared between arrival-gap sampling (NextInto) and server
 // placement (place) deliberately: the cluster simulator's event loop
 // is single-goroutine, so the accesses never race, and both consumers
 // drawing from one seeded stream is what makes a run a deterministic
@@ -69,16 +69,18 @@ type requestWorkload struct {
 	err      error
 }
 
-// Next implements workload.QuerySource: the first query of each request.
-func (w *requestWorkload) Next() (workload.Query, bool) {
+// NextInto implements workload.QuerySource: the first query of each
+// request.
+func (w *requestWorkload) NextInto(q *workload.Query) bool {
 	if w.nextReq >= int64(w.cfg.Requests) {
-		return workload.Query{}, false
+		return false
 	}
 	w.now += w.gap.NextGap(w.rng)
 	req := w.nextReq
 	w.nextReq++
 	w.pending[req] = &reqState{firstArrival: w.now, nextQuery: 1}
-	return w.query(req, 0, w.now), true
+	*q = w.query(req, 0, w.now)
+	return true
 }
 
 // query materializes query idx of request req arriving at the given time.

@@ -179,14 +179,15 @@ func NewReplayer(recs []Record) (*Replayer, error) {
 	return &Replayer{recs: recs}, nil
 }
 
-// Next implements workload.QuerySource.
-func (r *Replayer) Next() (workload.Query, bool) {
+// NextInto implements workload.QuerySource. The query shares the
+// record's Servers and Services slices.
+func (r *Replayer) NextInto(q *workload.Query) bool {
 	if r.next >= len(r.recs) {
-		return workload.Query{}, false
+		return false
 	}
 	rec := &r.recs[r.next]
 	r.next++
-	return workload.Query{
+	*q = workload.Query{
 		ID:       rec.ID,
 		Arrival:  rec.Arrival,
 		Class:    rec.Class,
@@ -194,7 +195,8 @@ func (r *Replayer) Next() (workload.Query, bool) {
 		Servers:  rec.Servers,
 		Services: rec.Services,
 		Request:  rec.Request,
-	}, true
+	}
+	return true
 }
 
 // Remaining returns the number of unread records.

@@ -148,11 +148,8 @@ func TestReplayer(t *testing.T) {
 		t.Errorf("Remaining() = %d, want 50", got)
 	}
 	var count int
-	for {
-		q, ok := rep.Next()
-		if !ok {
-			break
-		}
+	var q workload.Query
+	for rep.NextInto(&q) {
 		if q.ID != recs[count].ID || q.Fanout != len(recs[count].Servers) {
 			t.Fatalf("replayed query %d mismatch", count)
 		}
@@ -164,8 +161,8 @@ func TestReplayer(t *testing.T) {
 	if count != 50 {
 		t.Errorf("replayed %d queries, want 50", count)
 	}
-	if _, ok := rep.Next(); ok {
-		t.Error("Next after exhaustion returned ok")
+	if rep.NextInto(&q) {
+		t.Error("NextInto after exhaustion returned true")
 	}
 	rep.Rewind()
 	if got := rep.Remaining(); got != 50 {
@@ -214,9 +211,9 @@ func TestReplayDeterminismAcrossPolicies(t *testing.T) {
 	recs := generateTestTrace(t, 100)
 	r1, _ := NewReplayer(recs)
 	r2, _ := NewReplayer(recs)
+	var a, b workload.Query
 	for {
-		a, ok1 := r1.Next()
-		b, ok2 := r2.Next()
+		ok1, ok2 := r1.NextInto(&a), r2.NextInto(&b)
 		if ok1 != ok2 {
 			t.Fatal("replayers diverged in length")
 		}

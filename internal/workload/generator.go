@@ -32,9 +32,11 @@ type Query struct {
 // times. Generator is the standard implementation; trace replayers and
 // request workloads provide others.
 type QuerySource interface {
-	// Next returns the next query. The second result is false when the
-	// stream is exhausted (Generator streams are infinite).
-	Next() (Query, bool)
+	// NextInto overwrites every field of *q with the next query, so a
+	// caller can fill a pooled query in place. It returns false, leaving
+	// *q unspecified, when the stream is exhausted (Generator streams are
+	// infinite).
+	NextInto(q *Query) bool
 }
 
 // GeneratorConfig configures a query generator.
@@ -51,16 +53,16 @@ type GeneratorConfig struct {
 // Generator produces a deterministic (given the seed) stream of queries.
 // It is not safe for concurrent use; each simulation owns one generator.
 type Generator struct {
-	cfg       GeneratorConfig
-	rng       *rand.Rand
-	nextID    int64
-	now       float64
-	maxFanout int
+	cfg    GeneratorConfig
+	rng    *rand.Rand
+	nextID int64
+	now    float64
 	// scratch for sampling distinct servers without replacement
 	perm []int
-	// free holds recycled placement slices (see Recycle), each with
-	// capacity maxFanout so any fanout can reuse them.
-	free [][]int
+	// free[k] holds recycled placement slices of fanout k (see Recycle):
+	// each slice is minted at its own fanout, so a fanout-1 query costs
+	// one int, not maxFanout.
+	free [][][]int
 }
 
 // NewGenerator validates the configuration and returns a generator seeded
@@ -82,10 +84,10 @@ func NewGenerator(cfg GeneratorConfig, seed int64) (*Generator, error) {
 		return nil, fmt.Errorf("workload: max fanout %d exceeds cluster size %d", max, cfg.Servers)
 	}
 	g := &Generator{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(seed)),
-		maxFanout: cfg.Fanout.Max(),
-		perm:      make([]int, cfg.Servers),
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(seed)),
+		perm: make([]int, cfg.Servers),
+		free: make([][][]int, cfg.Fanout.Max()+1),
 	}
 	for i := range g.perm {
 		g.perm[i] = i
@@ -93,23 +95,35 @@ func NewGenerator(cfg GeneratorConfig, seed int64) (*Generator, error) {
 	return g, nil
 }
 
-// Next returns the next query in the stream. Generator streams never end,
-// so the second result is always true.
-func (g *Generator) Next() (Query, bool) {
+// NextInto implements QuerySource, writing the next query into *q. It
+// draws the gap, then the fanout, then the class, then the placement.
+// Generator streams never end, so it always returns true.
+//
+//tg:hotpath
+func (g *Generator) NextInto(q *Query) bool {
 	g.now += g.cfg.Arrival.NextGap(g.rng)
 	fanout := g.cfg.Fanout.Sample(g.rng)
-	q := Query{
-		ID:      g.nextID,
-		Arrival: g.now,
-		Class:   g.cfg.Classes.Sample(g.rng),
-		Fanout:  fanout,
-		Servers: g.place(fanout),
-	}
+	class := g.cfg.Classes.Sample(g.rng)
+	servers := g.place(fanout)
+	// Clear, then set field by field: assigning a composite literal to *q
+	// would build it on the stack and copy all of it.
+	*q = Query{}
+	q.ID, q.Arrival, q.Class, q.Fanout, q.Servers = g.nextID, g.now, class, fanout, servers
 	g.nextID++
+	return true
+}
+
+// Next returns the next query in the stream by value; the second result
+// is always true. It is NextInto for callers that keep their own copy.
+func (g *Generator) Next() (Query, bool) {
+	var q Query
+	g.NextInto(&q)
 	return q, true
 }
 
 // place selects fanout distinct servers.
+//
+//tg:hotpath
 func (g *Generator) place(fanout int) []int {
 	if g.cfg.Placement != nil {
 		return g.cfg.Placement(g.rng, fanout)
@@ -118,14 +132,13 @@ func (g *Generator) place(fanout int) []int {
 	// per query regardless of N.
 	n := len(g.perm)
 	var out []int
-	if k := len(g.free); k > 0 {
-		out = g.free[k-1][:fanout]
-		g.free[k-1] = nil
-		g.free = g.free[:k-1]
+	if free := g.free[fanout]; len(free) > 0 {
+		k := len(free) - 1
+		out = free[k]
+		free[k] = nil
+		g.free[fanout] = free[:k]
 	} else {
-		// Allocate at maxFanout capacity so the slice can serve any
-		// later fanout once recycled.
-		out = make([]int, fanout, g.maxFanout)
+		out = make([]int, fanout) //tg:cold warm-up, recycled through Recycle
 	}
 	for i := 0; i < fanout; i++ {
 		j := i + g.rng.Intn(n-i)
@@ -135,15 +148,20 @@ func (g *Generator) place(fanout int) []int {
 	return out
 }
 
-// Recycle accepts a placement slice previously returned by Next for reuse
-// by later queries (cluster.ServerRecycler). The caller must not use the
-// slice afterwards. Slices from a custom Placement function are dropped:
-// their ownership belongs to that function.
+// Recycle accepts a placement slice previously returned by Next or
+// NextInto for reuse by a later query of the same fanout
+// (cluster.ServerRecycler). The caller must not use the slice afterwards.
+// Slices from a custom Placement function are dropped: their ownership
+// belongs to that function. So is anything not shaped like a slice the
+// generator mints (length = capacity = a fanout it can draw).
+//
+//tg:hotpath
 func (g *Generator) Recycle(servers []int) {
-	if g.cfg.Placement != nil || cap(servers) < g.maxFanout {
+	k := len(servers)
+	if g.cfg.Placement != nil || k == 0 || k >= len(g.free) || cap(servers) != k {
 		return
 	}
-	g.free = append(g.free, servers[:0])
+	g.free[k] = append(g.free[k], servers)
 }
 
 // Now returns the arrival time of the last generated query.

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -247,5 +248,77 @@ func TestPlacementProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Errorf("placement property violated: %v", err)
+	}
+}
+
+// TestNextMatchesNextInto: the by-value Next and the fill form NextInto
+// give one stream for one seed, placements included, also when NextInto's
+// caller recycles every placement (so the generator reuses slices).
+func TestNextMatchesNextInto(t *testing.T) {
+	byValue, filled := testGenerator(t, 5), testGenerator(t, 5)
+	var q Query
+	for i := 0; i < 20000; i++ {
+		want, _ := byValue.Next()
+		if !filled.NextInto(&q) {
+			t.Fatal("NextInto reported an exhausted stream")
+		}
+		if q.ID != want.ID || q.Arrival != want.Arrival || q.Class != want.Class || q.Fanout != want.Fanout ||
+			!reflect.DeepEqual(q.Servers, want.Servers) || q.Services != nil || q.HasBudget || q.Request != 0 {
+			t.Fatalf("query %d: NextInto gave %+v, Next gave %+v", i, q, want)
+		}
+		filled.Recycle(q.Servers)
+	}
+}
+
+// TestNextIntoRecycleAllocationFree: once every fanout has a recycled
+// placement slice, generating a query and recycling its placement
+// allocates nothing.
+func TestNextIntoRecycleAllocationFree(t *testing.T) {
+	g := testGenerator(t, 6)
+	var q Query
+	step := func() {
+		g.NextInto(&q)
+		g.Recycle(q.Servers)
+	}
+	for i := 0; i < 10000; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(10000, step); allocs != 0 {
+		t.Errorf("NextInto + Recycle allocated %v times per query, want 0", allocs)
+	}
+}
+
+// TestRecycledPlacementServesItsFanout: a slice recycled at fanout k goes
+// to the next fanout-k query and to no query of another fanout, and
+// slices the generator cannot have minted are not reused at all.
+func TestRecycledPlacementServesItsFanout(t *testing.T) {
+	g := testGenerator(t, 7)
+	var q Query
+	for g.NextInto(&q); q.Fanout != 10; g.NextInto(&q) {
+	}
+	kept := q.Servers
+	if cap(kept) != 10 {
+		t.Fatalf("fanout-10 placement has capacity %d, want 10", cap(kept))
+	}
+	g.Recycle(kept)
+	// Never minted here: wrong capacity for its length, or empty.
+	foreign, empty := make([]int, 1, 100), make([]int, 0, 1)
+	g.Recycle(foreign)
+	g.Recycle(empty)
+	for others := 0; ; others++ {
+		g.NextInto(&q)
+		got := &q.Servers[0]
+		if q.Fanout == 10 {
+			if got != &kept[0] {
+				t.Fatal("the next fanout-10 query did not get the slice recycled at fanout 10")
+			}
+			if others == 0 {
+				t.Error("no query of another fanout came between; the check proved nothing")
+			}
+			return
+		}
+		if got == &kept[0] || got == &foreign[0] || got == &empty[:1][0] {
+			t.Fatalf("fanout-%d query got a slice recycled at fanout 10 or never minted here", q.Fanout)
+		}
 	}
 }
