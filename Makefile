@@ -127,16 +127,22 @@ shard-smoke:
 # reference binary heap must produce bit-identical Results, the
 # randomized wheel-vs-heap pop order and least-loaded index-vs-scan
 # property suites must hold, the max-load search's early-stopped,
-# shared-row probes must give every row the verdict its own full run
-# gives (960-probe differential), the in-place query fill must give the
-# by-value stream with fanout-sized placements that recycle without
+# shared-row probes — deadline-blind rows, and single-class TF-EDFQ and
+# T-EDFQ rows, which share across SLOs — must give every row the verdict
+# its own full run gives (2 560-verdict differential, which logs how often
+# the EDF tie guard fell back), the grouping rule must pair exactly the
+# rows whose runs cannot tell their SLOs apart, the tie guard must mark
+# exact and near EDF ties and fall back to each row's own run, one shared
+# run's per-row verdicts must equal MeetsSLOs, single-class PRIQ and
+# T-EDFQ must be bit-identical to FIFO, the in-place query fill must give
+# the by-value stream with fanout-sized placements that recycle without
 # allocating, and quantiles read by selection must equal sorted ones.
 perf-smoke:
-	$(GO) test ./internal/cluster -run 'TestPerfSmokeWheelVsHeap|TestLeastLoadedIndexMatchesScanEndToEnd|TestEarlyStop|TestStoppedRunAllocations' -count=1
+	$(GO) test ./internal/cluster -run 'TestPerfSmokeWheelVsHeap|TestLeastLoadedIndexMatchesScanEndToEnd|TestEarlyStop|TestStoppedRunAllocations|TestMeetsSLOsEachMatchesMeetsSLOs' -count=1
 	$(GO) test ./internal/workload -run 'TestNextMatchesNextInto|TestNextIntoRecycleAllocationFree|TestRecycledPlacementServesItsFanout' -count=1
 	$(GO) test ./internal/metrics -run 'TestQuantileSelectionMatchesSort|TestBootstrapQuantileCIPinned' -count=1
 	$(GO) test ./internal/sim -run 'TestWheel|FuzzWheelVsHeapPopOrder|TestDrain' -count=1
-	$(GO) test ./internal/experiment -run 'TestEarlyStopSharedVerdictsMatchFullRuns|TestCensusDoesNotDependOnLoad|TestBisectMatchesMaxLoadPerRow' -count=1 -v
+	$(GO) test ./internal/experiment -run 'TestEarlyStopSharedVerdictsMatchFullRuns|TestCensusDoesNotDependOnLoad|TestBisectMatchesMaxLoadPerRow|TestProbeTwins|TestTieGuard|TestSingleClassPRIQAndTEDFQAreFIFO' -count=1 -v
 
 # tgd-smoke proves the scheduler daemon end to end: enqueue a batch of
 # deadline-stamped queries over a journal file, crash a worker mid-lease,

@@ -152,6 +152,16 @@ type Config struct {
 	// checks is certain to fail, marking the Result Stopped. The max-load
 	// search sets it on its probes; nil runs every query.
 	EarlyStop *EarlyStop
+	// TieGuardMs, when positive, watches every EDF pop for a near tie and
+	// marks the Result NearTie on the first one (popNext). The max-load
+	// search sets it on a run shared by single-class SLO rows, whose
+	// deadlines differ only by a constant shift: it is the largest budget
+	// magnitude |SLO − x_p^u(kf)| any of those rows stamps. A run with no
+	// near tie pops the same task at every pop under each row's SLO, so
+	// with nothing else reading deadlines (admission, hedging, faults and
+	// obs off) every row would have produced its schedule and latencies.
+	// Zero runs unwatched, bit for bit as before.
+	TieGuardMs float64
 }
 
 // EarlyStop lets a run stop once its SLO verdict can only be a failure.
@@ -295,6 +305,9 @@ func (c *Config) validate() error {
 			return err
 		}
 	}
+	if !(c.TieGuardMs >= 0) || math.IsInf(c.TieGuardMs, 1) {
+		return fmt.Errorf("cluster: tie guard %v must be finite and non-negative", c.TieGuardMs)
+	}
 	if c.Shards > 1 {
 		if err := c.validateSharded(); err != nil {
 			return err
@@ -335,6 +348,9 @@ func (c *Config) validateSharded() error {
 	if c.EarlyStop != nil {
 		return fmt.Errorf("cluster: sharded runs do not support early stopping (shards record completions out of global order)")
 	}
+	if c.TieGuardMs != 0 {
+		return fmt.Errorf("cluster: sharded runs do not support the EDF tie guard (shards pop their queues outside the sequential runner)")
+	}
 	return nil
 }
 
@@ -369,6 +385,11 @@ type Result struct {
 	// query: every check failed. Its counters and recorders cover only
 	// the queries simulated up to the stop.
 	Stopped bool
+	// NearTie marks a run under Config.TieGuardMs in which some EDF pop's
+	// winner led its runner-up by no more than rounding could move that
+	// lead under another SLO the guard covers: the run's schedule is its
+	// own, and may not be theirs.
+	NearTie bool
 
 	// Duration is the simulated time from t=0 to the last completion (ms).
 	Duration float64
@@ -407,7 +428,7 @@ func (res *Result) reset() {
 	res.Failed, res.LostTasks, res.Retries = 0, 0, 0
 	res.HedgesIssued, res.HedgeWins = 0, 0
 	res.CreditDeferred, res.Throttled, res.ControlTicks = 0, 0, 0
-	res.Stopped = false
+	res.Stopped, res.NearTie = false, false
 	res.Duration, res.Utilization = 0, 0
 	res.OfferedLoad, res.TaskMissRatio = 0, 0
 	res.Overall.Reset()
@@ -1299,14 +1320,45 @@ func (r *runner) enqueue(s int, t *policy.Task) {
 
 // popNext dequeues the next task for server s, emitting the depth sample.
 // The index update is unconditional: a hedge-skimming Pop can shorten
-// the queue even when it returns nil.
+// the queue even when it returns nil. Under Config.TieGuardMs the pop is
+// checked against the runner-up, the task now at the head.
+//
+//tg:hotpath
 func (r *runner) popNext(s int) *policy.Task {
 	next := r.queues[s].Pop()
 	r.loadChanged(s)
+	if next != nil && r.cfg.TieGuardMs > 0 && !r.res.NearTie {
+		if up := r.queues[s].Peek(); up != nil && nearTie(next.Deadline, up.Deadline, r.cfg.TieGuardMs) {
+			r.res.NearTie = true
+		}
+	}
 	if next != nil && r.obs != nil {
 		r.obs.QueueDepth(r.engine.Now(), int32(s), r.queues[s].Len())
 	}
 	return next
+}
+
+// nearTie reports whether an EDF pop of key kw over the runner-up's key
+// kr could go the other way under another SLO row the tie guard covers;
+// budgetMs bounds |SLO − x| over those rows' SLOs and the budgets x they
+// subtract (Config.TieGuardMs).
+//
+// A row with SLO σ stamps k = fl(t0 + fl(σ − x)). Its exact value
+// K = t0 + σ − x moves by the same σ' − σ for every task under another
+// row's σ', so the exact lead K_r − K_w is the same for every row. With
+// unit roundoff u = 2^-53, |k − K| ≤ u|σ − x| + u|t0 + fl(σ − x)|
+// ≤ u·budgetMs + u|k|/(1−u). Under σ' a key is at most |k| + 2·budgetMs
+// (plus O(u)) in magnitude, so its error is at most u(|k| + 3·budgetMs)
+// to first order. The lead under σ' is the lead here less at most the
+// four errors, 2u(|kw| + |kr| + 4·budgetMs) to first order. The margin
+// below is four times that, which also covers the higher-order terms and
+// the rounding of the lead and the margin themselves. A lead above it is
+// positive under every covered SLO, so every row pops the same task. An
+// exact tie (lead 0, decided by the push sequence alone) always trips.
+//
+//tg:hotpath
+func nearTie(kw, kr, budgetMs float64) bool {
+	return kr-kw <= 0x1p-50*(math.Abs(kw)+math.Abs(kr)+4*budgetMs)
 }
 
 // pause starts a server's outage window.
@@ -1893,17 +1945,42 @@ func (r *runner) finalize() {
 // in which no type reached minSamples has no verdict and is an error, as
 // is a run that stopped early (its samples are a prefix).
 func (res *Result) MeetsSLOs(classes *workload.ClassSet, minSamples int) (bool, float64, error) {
-	if classes == nil {
-		return false, 0, fmt.Errorf("cluster: class set required")
+	ok, worst := []bool{false}, []float64{0}
+	if err := res.meetsSLOs([]*workload.ClassSet{classes}, minSamples, ok, worst); err != nil {
+		return false, 0, err
+	}
+	if math.IsNaN(worst[0]) {
+		return false, 0, fmt.Errorf("cluster: NaN SLO margin")
+	}
+	return ok[0], worst[0], nil
+}
+
+// MeetsSLOsEach is MeetsSLOs for several class sets read off one run —
+// the SLO rows of a max-load search that share a probe — writing set k's
+// verdict to ok[k]. A type's tail is read once for a run of consecutive
+// sets that give its class the same percentile, not once per set.
+func (res *Result) MeetsSLOsEach(sets []*workload.ClassSet, minSamples int, ok []bool) error {
+	if len(ok) != len(sets) {
+		return fmt.Errorf("cluster: %d verdict slots for %d class sets", len(ok), len(sets))
+	}
+	return res.meetsSLOs(sets, minSamples, ok, nil)
+}
+
+// meetsSLOs computes MeetsSLOs's verdict for each set into ok and, when
+// worst is non-nil, its worst margin into worst.
+func (res *Result) meetsSLOs(sets []*workload.ClassSet, minSamples int, ok []bool, worst []float64) error {
+	for k, classes := range sets {
+		if classes == nil {
+			return fmt.Errorf("cluster: class set required")
+		}
+		ok[k] = true
 	}
 	if res.Stopped {
-		return false, 0, fmt.Errorf("cluster: run stopped early; its samples cannot decide an SLO verdict")
+		return fmt.Errorf("cluster: run stopped early; its samples cannot decide an SLO verdict")
 	}
 	if minSamples < 1 {
 		minSamples = 1
 	}
-	ok := true
-	worst := 0.0
 	checked, largest := 0, 0
 	var firstErr error
 	res.ByType.Each(func(key ClassFanout, rec *metrics.LatencyRecorder) {
@@ -1912,33 +1989,34 @@ func (res *Result) MeetsSLOs(classes *workload.ClassSet, minSamples int) (bool, 
 			return
 		}
 		checked++
-		cls, err := classes.Class(key.Class)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		tail, err := rec.Quantile(cls.Percentile)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		margin := tail / cls.SLOMs
-		if margin > worst {
-			worst = margin
-		}
-		if tail > cls.SLOMs {
-			ok = false
+		var tail, p float64
+		for k, classes := range sets {
+			cls, err := classes.Class(key.Class)
+			if err != nil {
+				firstErr = err
+				return
+			}
+			if k == 0 || cls.Percentile != p {
+				if tail, err = rec.Quantile(cls.Percentile); err != nil {
+					firstErr = err
+					return
+				}
+				p = cls.Percentile
+			}
+			if margin := tail / cls.SLOMs; worst != nil && margin > worst[k] {
+				worst[k] = margin
+			}
+			if tail > cls.SLOMs {
+				ok[k] = false
+			}
 		}
 	})
 	if firstErr != nil {
-		return false, 0, firstErr
+		return firstErr
 	}
 	if checked == 0 {
-		return false, 0, fmt.Errorf("cluster: no query type reached %d samples (%d types seen, the largest has %d)",
+		return fmt.Errorf("cluster: no query type reached %d samples (%d types seen, the largest has %d)",
 			minSamples, res.ByType.Len(), largest)
 	}
-	if math.IsNaN(worst) {
-		return false, 0, fmt.Errorf("cluster: NaN SLO margin")
-	}
-	return ok, worst, nil
+	return nil
 }

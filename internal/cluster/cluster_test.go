@@ -71,6 +71,9 @@ func TestValidation(t *testing.T) {
 		{"no queries", func(c *Config) { c.Queries = 0 }},
 		{"warmup too large", func(c *Config) { c.Warmup = 10 }},
 		{"negative warmup", func(c *Config) { c.Warmup = -1 }},
+		{"negative tie guard", func(c *Config) { c.TieGuardMs = -1 }},
+		{"NaN tie guard", func(c *Config) { c.TieGuardMs = math.NaN() }},
+		{"infinite tie guard", func(c *Config) { c.TieGuardMs = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -426,6 +429,58 @@ func TestMeetsSLOs(t *testing.T) {
 	}
 	if _, _, err := res.MeetsSLOs(nil, 1); err == nil {
 		t.Error("MeetsSLOs(nil) succeeded, want error")
+	}
+}
+
+// TestMeetsSLOsEachMatchesMeetsSLOs: the verdicts MeetsSLOsEach reads off
+// one run, reusing a tail across consecutive sets with the same
+// percentile, are each set's own MeetsSLOs verdict.
+func TestMeetsSLOsEachMatchesMeetsSLOs(t *testing.T) {
+	w := dist.MustTailbenchWorkload("masstree")
+	fan, _ := workload.NewInverseProportional([]int{1, 10})
+	arr, _ := workload.NewPoisson(5)
+	base, _ := workload.SingleClass(1)
+	res, err := Run(buildConfig(t, core.TFEDFQ, w.ServiceTime, 20, arr, fan, base, 4000, 200, 8))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	_, margin, err := res.MeetsSLOs(base, 50)
+	if err != nil {
+		t.Fatalf("MeetsSLOs: %v", err)
+	}
+	tail := margin // the worst type's p99 over a 1 ms SLO
+	var sets []*workload.ClassSet
+	for _, c := range []struct{ slo, p float64 }{
+		{tail * 0.99, 0.99}, {tail * 1.01, 0.99}, {tail * 0.99, 0.5}, {tail * 0.99, 0.5}, {tail * 0.99, 0.99},
+	} {
+		set, err := workload.NewClassSet([]workload.Class{{ID: 0, SLOMs: c.slo, Percentile: c.p, Weight: 1}})
+		if err != nil {
+			t.Fatalf("NewClassSet: %v", err)
+		}
+		sets = append(sets, set)
+	}
+	ok := make([]bool, len(sets))
+	if err := res.MeetsSLOsEach(sets, 50, ok); err != nil {
+		t.Fatalf("MeetsSLOsEach: %v", err)
+	}
+	var passes int
+	for k, set := range sets {
+		want, _, err := res.MeetsSLOs(set, 50)
+		if err != nil {
+			t.Fatalf("MeetsSLOs: %v", err)
+		}
+		if ok[k] != want {
+			t.Errorf("set %d: MeetsSLOsEach %v, MeetsSLOs %v", k, ok[k], want)
+		}
+		if want {
+			passes++
+		}
+	}
+	if passes == 0 || passes == len(sets) {
+		t.Errorf("%d of %d sets pass; the sets must disagree", passes, len(sets))
+	}
+	if err := res.MeetsSLOsEach(sets, 50, ok[:1]); err == nil {
+		t.Error("MeetsSLOsEach with too few verdict slots succeeded, want an error")
 	}
 }
 

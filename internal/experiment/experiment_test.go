@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tailguard/internal/cluster"
 	"tailguard/internal/core"
 	"tailguard/internal/dist"
 	"tailguard/internal/workload"
@@ -221,6 +222,42 @@ func TestFig4MicroTailGuardAtLeastFIFO(t *testing.T) {
 	}
 	if fifo <= 0 {
 		t.Errorf("FIFO max load = %v, want positive", fifo)
+	}
+}
+
+// TestSingleClassPRIQAndTEDFQAreFIFO pins Fig4's reason for comparing
+// TailGuard with FIFO alone: with one class, PRIQ has one priority level
+// and T-EDFQ's deadline t0 + SLO rises with arrival order, so both serve
+// every queue in FIFO order. Their runs are bit-identical to FIFO's at
+// every load; only T-EDFQ's task miss ratio, which FIFO's infinite
+// deadlines keep at zero, differs.
+func TestSingleClassPRIQAndTEDFQAreFIFO(t *testing.T) {
+	rows, err := singleClassRows("masstree", []float64{1.0}, []core.Spec{core.FIFO, core.PRIQ, core.TEDFQ}, micro)
+	if err != nil {
+		t.Fatalf("singleClassRows: %v", err)
+	}
+	var missed bool
+	for _, load := range []float64{0.3, 0.6, 0.9} {
+		var fifo *cluster.Result
+		for _, s := range rows {
+			s.Load = load
+			res, err := s.Run()
+			if err != nil {
+				t.Fatalf("%s load %v: Run: %v", s.Spec.Name, load, err)
+			}
+			if fifo == nil {
+				fifo = res
+				continue
+			}
+			missed = missed || res.TaskMissRatio > 0
+			res.Spec, res.TaskMissRatio = fifo.Spec, fifo.TaskMissRatio
+			if err := fifo.Equal(res); err != nil {
+				t.Errorf("%s load %v differs from FIFO: %v", s.Spec.Name, load, err)
+			}
+		}
+	}
+	if !missed {
+		t.Error("no T-EDFQ run missed a deadline; the loads do not reach the queueing the test is about")
 	}
 }
 

@@ -131,7 +131,8 @@ func singleClassRows(workloadName string, slos []float64, specs []core.Spec, fid
 
 // Fig4 reproduces Fig. 4: the maximum load meeting a single-class tail
 // latency SLO, TailGuard vs FIFO, per workload and SLO. (PRIQ and T-EDFQ
-// degenerate to FIFO with a single class.)
+// degenerate to FIFO with a single class, bit for bit:
+// TestSingleClassPRIQAndTEDFQAreFIFO.)
 func Fig4(fid Fidelity, workloads []string, slos map[string][]float64) (*Table, error) {
 	if len(workloads) == 0 {
 		workloads = dist.TailbenchNames()

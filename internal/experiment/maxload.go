@@ -2,10 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tailguard/internal/cluster"
+	"tailguard/internal/core"
 	"tailguard/internal/metrics"
 	"tailguard/internal/parallel"
 	"tailguard/internal/workload"
@@ -201,11 +204,14 @@ func (e *firstError) note(depth, row int, err error) {
 // probe(g, load, rows) runs group g at load for the listed rows
 // (ascending) and returns their verdicts in that order. Each group is one
 // job on the pool, largest first so the jobs left last are short; a
-// group searches its rows in lockstep (see lockstep), speculating when
-// the pool has more workers than groups. A row's verdicts are exact, so
-// its result is exactly MaxLoad's with that row's probe, at any worker
-// count. On error bisect returns the first failing group's row that met
-// it (see firstError).
+// group searches its rows in lockstep (see lockstep) on its share of the
+// workers, which grows as the groups left fall below the worker count:
+// a group left running at the end of the search spreads its probes over
+// the workers the others have freed, and speculates when it has more
+// workers than brackets. A row's verdicts are exact, so its result is
+// exactly MaxLoad's with that row's probe, at any worker count. On error
+// bisect returns the first failing group's row that met it (see
+// firstError).
 func bisect(pool *parallel.Pool, bounds MaxLoadBounds, tols []float64, group []int,
 	probe func(g int, load float64, rows []int) ([]bool, error)) (loads []float64, errRow int, err error) {
 	for _, tol := range tols {
@@ -228,16 +234,24 @@ func bisect(pool *parallel.Pool, bounds MaxLoadBounds, tols []float64, group []i
 		members[k] = append(members[k], i)
 	}
 	sort.SliceStable(members, func(a, b int) bool { return len(members[a]) > len(members[b]) })
-	inner := parallel.NewPool(max(1, pool.Workers()/max(1, len(members))))
+	// A group's share of the workers: one while at least as many groups
+	// are left as workers, and an equal split of the workers once fewer
+	// are left — all of them are running then, so the shares never add
+	// up to more than the pool.
+	workers := pool.Workers()
+	var left atomic.Int64
+	left.Store(int64(len(members)))
+	share := func() int { return max(1, workers/int(min(int64(workers), left.Load()))) }
 	type outcome struct {
 		loads []float64
 		row   int
 		err   error
 	}
 	out, _ := parallel.Map(pool, len(members), func(k int) (outcome, error) {
+		defer left.Add(-1)
 		rows := members[k]
 		g := group[rows[0]]
-		l, row, err := lockstep(inner, bounds, tols, rows, func(load float64, asked []int) ([]bool, error) {
+		l, row, err := lockstep(share, bounds, tols, rows, func(load float64, asked []int) ([]bool, error) {
 			return probe(g, load, asked)
 		})
 		return outcome{l, row, err}, nil
@@ -260,9 +274,12 @@ func bisect(pool *parallel.Pool, bounds MaxLoadBounds, tols []float64, group []i
 // undecided rows need — both bracket ends first, then each row's next
 // midpoint, or with idle workers the next levels of its bisection tree
 // (both outcomes of every midpoint) — and runs each distinct load once on
-// the pool. Midpoints are dyadic, so two rows can only ask for the same
-// load in the same round, from the same bracket.
-func lockstep(pool *parallel.Pool, bounds MaxLoadBounds, tols []float64, rows []int,
+// as many workers as share reports at the start of the round, speculating
+// only as deep as they leave room for. Every pending row advances the
+// same number of levels per round and midpoints are dyadic, so two rows
+// can only ask for the same load in the same round, from the same
+// bracket.
+func lockstep(share func() int, bounds MaxLoadBounds, tols []float64, rows []int,
 	probe func(load float64, rows []int) ([]bool, error)) (loads []float64, errRow int, err error) {
 	n := len(rows)
 	loads = make([]float64, n)
@@ -277,7 +294,7 @@ func lockstep(pool *parallel.Pool, bounds MaxLoadBounds, tols []float64, rows []
 		ends.ask(bounds.Lo, i)
 		ends.ask(bounds.Hi, i)
 	}
-	ends.run(pool, probe)
+	ends.run(parallel.NewPool(share()), probe)
 	for p, i := range rows {
 		ok, err := ends.verdict(bounds.Lo, i)
 		if err != nil {
@@ -309,13 +326,14 @@ func lockstep(pool *parallel.Pool, bounds MaxLoadBounds, tols []float64, rows []
 	trees := make([]*specNode, n)
 	mids := make([][]float64, n)
 	for len(pending) > 0 {
-		// Speculate only as deep as the pool has room for every bracket
-		// in flight.
+		// Speculate only as deep as the group's share of the workers has
+		// room for every bracket in flight.
 		brackets := map[float64]bool{}
 		for _, p := range pending {
 			brackets[lo[p]] = true
 		}
-		depth := specDepth(pool.Workers() / len(brackets))
+		workers := share()
+		depth := specDepth(workers / len(brackets))
 		var r round
 		for _, p := range pending {
 			mids[p] = mids[p][:0]
@@ -324,7 +342,7 @@ func lockstep(pool *parallel.Pool, bounds MaxLoadBounds, tols []float64, rows []
 				r.ask(m, rows[p])
 			}
 		}
-		r.run(pool, probe)
+		r.run(parallel.NewPool(workers), probe)
 		next := pending[:0]
 		for _, p := range pending {
 			for nd, d := trees[p], 0; nd != nil; d++ {
@@ -392,9 +410,11 @@ func ScenarioMaxLoad(s Scenario, bounds MaxLoadBounds) (float64, error) {
 // returns them in row order. Two things keep it from simulating what
 // cannot change a verdict:
 //
-//   - Rows that are probeTwins (a policy that ignores deadlines, no
-//     admission control, differing only in SLOs) share every probe: one
-//     run per load answers all of them.
+//   - Rows that are probeTwins (no admission control, differing only in
+//     SLOs the policy cannot tell apart) share every probe: one run per
+//     load answers all of them. Where the policy stamps deadlines, a
+//     shared run that meets a near tie in the EDF order gives only its
+//     first row's verdict; the others are run alone (probeRows).
 //   - A probe stops as soon as it is certain to fail for every row that
 //     asked for it (cluster.EarlyStop). Certainty comes from the row's
 //     census: each type's final sample count, counted once per search
@@ -414,12 +434,12 @@ func searchMaxLoads(pool *parallel.Pool, rows []Scenario, bounds MaxLoadBounds) 
 		tols[i] = s.Fidelity.LoadTol
 	}
 	group := probeGroups(rows)
-	plans, err := stopPlans(rows, bounds.Lo)
+	plans, err := planRows(rows, bounds.Lo)
 	if err != nil {
 		return nil, err
 	}
 	loads, bad, err := bisect(pool, bounds, tols, group, func(_ int, load float64, asked []int) ([]bool, error) {
-		ok, _, err := probeRows(rows, plans, asked, load)
+		ok, _, err := probeRows(rows, plans, asked, load, Scenario.Build)
 		return ok, err
 	})
 	if err != nil {
@@ -449,23 +469,44 @@ func probeGroups(rows []Scenario) []int {
 	return group
 }
 
-// stopPlan is one row's early-stop check and the stride of its tables;
-// a zero plan (nil Quota) means the row's probes never stop early.
-type stopPlan struct {
-	check  cluster.SLOCheck
-	stride int
+// rowPlan is what a search works out for a row before probing it: its
+// early-stop check and the stride of its tables (a nil Quota means the
+// row's probes never stop early), and the largest budget magnitude
+// |SLO − x_p^u(kf)| its deadlines carry, which bounds the tie guard of a
+// probe it shares.
+type rowPlan struct {
+	check    cluster.SLOCheck
+	stride   int
+	budgetMs float64
 }
 
-// stopPlans builds each row's early-stop check from its census. Rows
-// whose sample counts a run cannot promise in advance — admission
-// control rejects queries, the sharded core takes no early stop — get
-// none. Rows drawing the same stream share one census.
-func stopPlans(rows []Scenario, load float64) ([]stopPlan, error) {
-	plans := make([]stopPlan, len(rows))
+// planRows builds each row's plan. The early-stop check comes from the
+// row's census; rows whose sample counts a run cannot promise in advance
+// — admission control rejects queries, the sharded core takes no early
+// stop — get none, and share no deadline probes either (probeTwins).
+// Rows drawing the same stream share one census.
+func planRows(rows []Scenario, load float64) ([]rowPlan, error) {
+	plans := make([]rowPlan, len(rows))
 	counts := make([][]int, len(rows))
 	for i, s := range rows {
 		if s.AdmissionWindowMs > 0 || s.Shards > 1 {
 			continue
+		}
+		var budgetMs float64
+		if s.Spec.Deadline != core.DeadlineNone {
+			dl, err := s.deadliner()
+			if err != nil {
+				return nil, err
+			}
+			for _, c := range s.Classes.Classes() {
+				for _, f := range s.Fanout.Support() {
+					b, err := dl.Budget(c.ID, f)
+					if err != nil {
+						return nil, err
+					}
+					budgetMs = max(budgetMs, math.Abs(b))
+				}
+			}
 		}
 		stride := s.Fanout.Max() + 1
 		for j := 0; j < i && counts[i] == nil; j++ {
@@ -490,20 +531,33 @@ func stopPlans(rows []Scenario, load float64) ([]stopPlan, error) {
 				}
 			}
 		}
-		plans[i] = stopPlan{check: check, stride: stride}
+		plans[i] = rowPlan{check: check, stride: stride, budgetMs: budgetMs}
 	}
 	return plans, nil
 }
 
+// probeStats says how a shared probe ran: whether its run stopped early,
+// and whether its tie guard tripped, sending the rows after the first to
+// runs of their own.
+type probeStats struct {
+	stopped, tied bool
+}
+
 // probeRows runs one probe at load for the asked rows, which share it,
-// and returns each row's verdict. The run stops early once it is certain
-// to fail for all of them; a stopped run fails every one.
-func probeRows(rows []Scenario, plans []stopPlan, asked []int, load float64) (ok []bool, stopped bool, err error) {
+// and returns each row's verdict; build turns the first asked row, at
+// load, into the run (Scenario.Build). The run stops early once it is
+// certain to fail for all of them; a stopped run fails every one. A run
+// shared by rows with deadlines watches its EDF order for near ties
+// (cluster.Config.TieGuardMs). If it meets one, the run still is the
+// first row's own run and gives that row's verdict, and every other row
+// is probed alone.
+func probeRows(rows []Scenario, plans []rowPlan, asked []int, load float64,
+	build func(Scenario) (cluster.Config, error)) (ok []bool, st probeStats, err error) {
 	s := rows[asked[0]]
 	s.Load = load
-	cfg, err := s.Build()
+	cfg, err := build(s)
 	if err != nil {
-		return nil, false, err
+		return nil, st, err
 	}
 	if p := plans[asked[0]]; p.check.Quota != nil {
 		es := &cluster.EarlyStop{Stride: p.stride, Checks: make([]cluster.SLOCheck, len(asked))}
@@ -512,24 +566,48 @@ func probeRows(rows []Scenario, plans []stopPlan, asked []int, load float64) (ok
 		}
 		cfg.EarlyStop = es
 	}
+	if len(asked) > 1 && s.Spec.Deadline != core.DeadlineNone {
+		for _, i := range asked {
+			cfg.TieGuardMs = max(cfg.TieGuardMs, plans[i].budgetMs)
+		}
+	}
 	a := arenaPool.Get().(*cluster.Arena)
 	defer arenaPool.Put(a)
 	cfg.Arena = a
 	res, err := cluster.Run(cfg)
 	if err != nil {
-		return nil, false, err
+		return nil, st, err
 	}
 	defer a.Release(res)
+	st = probeStats{stopped: res.Stopped, tied: res.NearTie}
 	ok = make([]bool, len(asked))
-	if res.Stopped {
-		return ok, true, nil
-	}
-	for k, i := range asked {
-		if ok[k], _, err = res.MeetsSLOs(rows[i].Classes, rows[i].Fidelity.MinSamples); err != nil {
-			return nil, false, err
+	switch {
+	case res.Stopped:
+		// Every row fails: every check failed, the first row's on its own
+		// schedule.
+	case st.tied:
+		if ok[0], _, err = res.MeetsSLOs(s.Classes, s.Fidelity.MinSamples); err != nil {
+			return nil, st, err
+		}
+	default:
+		sets := make([]*workload.ClassSet, len(asked))
+		for k, i := range asked {
+			sets[k] = rows[i].Classes
+		}
+		if err := res.MeetsSLOsEach(sets, s.Fidelity.MinSamples, ok); err != nil {
+			return nil, st, err
 		}
 	}
-	return ok, false, nil
+	if st.tied {
+		for k, i := range asked[1:] {
+			alone, _, err := probeRows(rows, plans, []int{i}, load, build)
+			if err != nil {
+				return nil, st, err
+			}
+			ok[k+1] = alone[0]
+		}
+	}
+	return ok, st, nil
 }
 
 // classSetForPaper returns the class configurations the paper's case

@@ -74,11 +74,7 @@ func (s Scenario) Build() (cluster.Config, error) {
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	est, err := core.NewHomogeneousStaticTailEstimator(s.Workload.ServiceTime, s.Servers)
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	dl, err := core.NewDeadliner(s.Spec, est, s.Classes)
+	dl, err := s.deadliner()
 	if err != nil {
 		return cluster.Config{}, err
 	}
@@ -103,6 +99,16 @@ func (s Scenario) Build() (cluster.Config, error) {
 		cfg.Admission = adm
 	}
 	return cfg, nil
+}
+
+// deadliner builds the scenario's deadline calculator over the static
+// model of its workload.
+func (s Scenario) deadliner() (*core.Deadliner, error) {
+	est, err := core.NewHomogeneousStaticTailEstimator(s.Workload.ServiceTime, s.Servers)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewDeadliner(s.Spec, est, s.Classes)
 }
 
 // generator validates the scenario and builds its query source at its
@@ -174,14 +180,29 @@ func sameStream(a, b Scenario) bool {
 }
 
 // probeTwins reports whether one run answers both a's and b's max-load
-// probes at any load. That holds when the policy never reads an SLO (no
-// deadlines) and admission control, whose threshold would, is off: the
-// two then simulate the same stream through the same cluster, and only
-// their verdicts, read against each one's own class SLOs, differ.
+// probes at any load: the two simulate the same stream through the same
+// cluster and policy with admission control (whose threshold reads the
+// miss ratio) off, and the policy cannot tell their SLOs apart. Only
+// their verdicts, read against each one's own class SLOs, differ. That
+// holds in two cases:
+//
+//   - The policy never reads a deadline (FIFO, PRIQ).
+//   - The policy is EDF over deadlines t0 + SLO − x_p^u (T-EDFQ,
+//     TF-EDFQ), and both rows have one class with the same percentile,
+//     so x_p^u is the same and the SLO shifts every deadline by one
+//     constant. The EDF order is then the same up to rounding, which the
+//     shared run checks (cluster.Config.TieGuardMs); the sharded core,
+//     which cannot check it, never shares these.
 func probeTwins(a, b Scenario) bool {
-	return a.Spec.Deadline == core.DeadlineNone && a.AdmissionWindowMs <= 0 && b.AdmissionWindowMs <= 0 &&
-		a.Spec == b.Spec && a.Workload == b.Workload && a.Fidelity == b.Fidelity &&
-		a.Shards == b.Shards && a.ShardWindowMs == b.ShardWindowMs && sameStream(a, b)
+	if a.AdmissionWindowMs > 0 || b.AdmissionWindowMs > 0 || a.Spec != b.Spec || a.Workload != b.Workload ||
+		a.Fidelity != b.Fidelity || a.Shards != b.Shards || a.ShardWindowMs != b.ShardWindowMs || !sameStream(a, b) {
+		return false
+	}
+	if a.Spec.Deadline == core.DeadlineNone {
+		return true
+	}
+	return a.Shards <= 1 && a.Classes.Len() == 1 && b.Classes.Len() == 1 &&
+		a.Classes.Classes()[0].Percentile == b.Classes.Classes()[0].Percentile
 }
 
 // sameFanout compares two fanout distributions by identity (or value,

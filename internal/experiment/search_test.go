@@ -15,8 +15,9 @@ import (
 )
 
 // sweepRows is the benchmark sweep's shape at test size: masstree, N=100,
-// fanouts 1/10/100, two classes, one row per SLO for each policy.
-func sweepRows(t *testing.T, specs []core.Spec, slos []float64, fid Fidelity) []Scenario {
+// fanouts 1/10/100, one row per SLO for each policy. With two classes the
+// low class's SLO is 1.5 times the high class's (Fig. 5).
+func sweepRows(t *testing.T, specs []core.Spec, slos []float64, classesN int, fid Fidelity) []Scenario {
 	t.Helper()
 	w := dist.MustTailbenchWorkload("masstree")
 	fan, err := workload.NewInverseProportional(PaperFanouts)
@@ -26,9 +27,9 @@ func sweepRows(t *testing.T, specs []core.Spec, slos []float64, fid Fidelity) []
 	var rows []Scenario
 	for _, spec := range specs {
 		for _, slo := range slos {
-			classes, err := workload.TwoClasses(slo, 1.5)
+			classes, err := classSetForPaper(slo, classesN, 1.5)
 			if err != nil {
-				t.Fatalf("TwoClasses: %v", err)
+				t.Fatalf("classSetForPaper: %v", err)
 			}
 			rows = append(rows, Scenario{
 				Workload: w, Servers: 100, Spec: spec, Fanout: fan,
@@ -45,7 +46,7 @@ func sweepRows(t *testing.T, specs []core.Spec, slos []float64, fid Fidelity) []
 // are exactly the counts a full run records.
 func TestCensusDoesNotDependOnLoad(t *testing.T) {
 	for _, arrival := range []ArrivalKind{Poisson, Pareto} {
-		s := sweepRows(t, []core.Spec{core.FIFO}, []float64{1}, goldenFid)[0]
+		s := sweepRows(t, []core.Spec{core.FIFO}, []float64{1}, 2, goldenFid)[0]
 		s.Arrival = arrival
 		var want []int
 		for _, load := range []float64{0.05, 0.5, 0.95} {
@@ -71,6 +72,72 @@ func TestCensusDoesNotDependOnLoad(t *testing.T) {
 			} else if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: census at load %v = %v, at 0.05 = %v", arrival, load, got, want)
 			}
+		}
+	}
+}
+
+// TestProbeTwins pins which rows share probes. Deadline-blind rows share
+// across SLOs whatever their classes. Single-class TF-EDFQ and T-EDFQ
+// rows share across SLOs, because the SLO shifts every deadline by one
+// constant, but not when that shift is not one constant (two classes at
+// a ratio), x_p^u differs (another percentile), the run reads the miss
+// ratio (admission), or the stream differs (seed, fanouts).
+func TestProbeTwins(t *testing.T) {
+	base := sweepRows(t, []core.Spec{core.FIFO}, []float64{1}, 1, goldenFid)[0]
+	row := func(spec core.Spec, slo float64, classesN int) Scenario {
+		s := base
+		s.Spec = spec
+		var err error
+		if s.Classes, err = classSetForPaper(slo, classesN, 1.5); err != nil {
+			t.Fatalf("classSetForPaper: %v", err)
+		}
+		return s
+	}
+	p95, err := workload.NewClassSet([]workload.Class{{ID: 0, Name: "p95", SLOMs: 1.5, Percentile: 0.95, Weight: 1}})
+	if err != nil {
+		t.Fatalf("NewClassSet: %v", err)
+	}
+	fixed, err := workload.NewFixed(100)
+	if err != nil {
+		t.Fatalf("NewFixed: %v", err)
+	}
+	with := func(s Scenario, edit func(*Scenario)) Scenario {
+		edit(&s)
+		return s
+	}
+	cases := []struct {
+		name string
+		a, b Scenario
+		twin bool
+	}{
+		{"FIFO, one class", row(core.FIFO, 1, 1), row(core.FIFO, 1.5, 1), true},
+		{"PRIQ, two classes", row(core.PRIQ, 1, 2), row(core.PRIQ, 1.5, 2), true},
+		{"TF-EDFQ, one class", row(core.TFEDFQ, 1, 1), row(core.TFEDFQ, 1.5, 1), true},
+		{"T-EDFQ, one class", row(core.TEDFQ, 1, 1), row(core.TEDFQ, 1.5, 1), true},
+		{"TF-EDFQ, two classes at a ratio", row(core.TFEDFQ, 1, 2), row(core.TFEDFQ, 1.5, 2), false},
+		{"T-EDFQ, two classes at a ratio", row(core.TEDFQ, 1, 2), row(core.TEDFQ, 1.5, 2), false},
+		{"TF-EDFQ, another percentile", row(core.TFEDFQ, 1, 1),
+			with(row(core.TFEDFQ, 1, 1), func(s *Scenario) { s.Classes = p95 }), false},
+		{"TF-EDFQ vs T-EDFQ", row(core.TFEDFQ, 1, 1), row(core.TEDFQ, 1.5, 1), false},
+		{"TF-EDFQ, admission on", row(core.TFEDFQ, 1, 1),
+			with(row(core.TFEDFQ, 1.5, 1), func(s *Scenario) { s.AdmissionWindowMs, s.AdmissionThreshold = 100, 0.02 }), false},
+		{"FIFO, admission on", row(core.FIFO, 1, 1),
+			with(row(core.FIFO, 1.5, 1), func(s *Scenario) { s.AdmissionWindowMs, s.AdmissionThreshold = 100, 0.02 }), false},
+		{"TF-EDFQ, another seed", row(core.TFEDFQ, 1, 1),
+			with(row(core.TFEDFQ, 1.5, 1), func(s *Scenario) { s.Fidelity.Seed = 2 }), false},
+		{"TF-EDFQ, other fanouts", row(core.TFEDFQ, 1, 1),
+			with(row(core.TFEDFQ, 1.5, 1), func(s *Scenario) { s.Fanout = fixed }), false},
+		{"TF-EDFQ, sharded", with(row(core.TFEDFQ, 1, 1), func(s *Scenario) { s.Shards = 2 }),
+			with(row(core.TFEDFQ, 1.5, 1), func(s *Scenario) { s.Shards = 2 }), false},
+		{"FIFO, sharded", with(row(core.FIFO, 1, 1), func(s *Scenario) { s.Shards = 2 }),
+			with(row(core.FIFO, 1.5, 1), func(s *Scenario) { s.Shards = 2 }), true},
+	}
+	for _, tc := range cases {
+		if got := probeTwins(tc.a, tc.b); got != tc.twin {
+			t.Errorf("%s: probeTwins = %v, want %v", tc.name, got, tc.twin)
+		}
+		if got := probeTwins(tc.b, tc.a); got != tc.twin {
+			t.Errorf("%s (swapped): probeTwins = %v, want %v", tc.name, got, tc.twin)
 		}
 	}
 }
@@ -127,12 +194,15 @@ func TestBisectMatchesMaxLoadPerRow(t *testing.T) {
 }
 
 // TestEarlyStopSharedVerdictsMatchFullRuns is the differential proof of
-// the search's two savings. Over 960 probes — TF-EDFQ, FIFO and PRIQ,
-// four SLO rows, eight seeds, twenty loads across [0.05, 0.95] — each
-// row's verdict read off an early-stopping probe (one shared by all four
-// rows for FIFO and PRIQ) equals the verdict of that row's own full run.
-// Some probes must have stopped and some must have passed, or the proof
-// covers nothing.
+// the search's two savings. Over 2 560 row verdicts — TF-EDFQ, T-EDFQ,
+// FIFO and PRIQ, four SLO rows, eight seeds (even seeds one class, odd
+// seeds two), twenty loads across [0.05, 0.95] — each row's verdict read
+// off an early-stopping probe equals the verdict of that row's own full
+// run. A probe is shared by all four SLO rows for FIFO and PRIQ, and for
+// TF-EDFQ and T-EDFQ with one class, where it also runs the tie guard.
+// Some probes must have stopped, some deadline probes must have been
+// shared, and some verdicts must pass and some fail, or the proof covers
+// nothing. It logs how often the tie guard sent rows to runs of their own.
 func TestEarlyStopSharedVerdictsMatchFullRuns(t *testing.T) {
 	fid := Fidelity{Queries: 1200, Warmup: 120, MinSamples: 10, LoadTol: 0.02}
 	slos := []float64{0.75, 1, 1.5, 2}
@@ -144,14 +214,14 @@ func TestEarlyStopSharedVerdictsMatchFullRuns(t *testing.T) {
 	for i := range seeds {
 		f := fid
 		f.Seed = int64(i + 1)
-		seeds[i] = sweepRows(t, []core.Spec{core.TFEDFQ, core.FIFO, core.PRIQ}, slos, f)
+		seeds[i] = sweepRows(t, []core.Spec{core.TFEDFQ, core.TEDFQ, core.FIFO, core.PRIQ}, slos, 1+i%2, f)
 	}
-	type tally struct{ probes, stopped, verdicts, passes int }
+	type tally struct{ probes, stopped, sharedEDF, tied, verdicts, passes int }
 	tallies, err := parallel.Map(nil, len(seeds), func(seed int) (tally, error) {
 		var tl tally
 		rows := seeds[seed]
 		group := probeGroups(rows)
-		plans, err := stopPlans(rows, DefaultMaxLoadBounds.Lo)
+		plans, err := planRows(rows, DefaultMaxLoadBounds.Lo)
 		if err != nil {
 			return tl, err
 		}
@@ -166,13 +236,19 @@ func TestEarlyStopSharedVerdictsMatchFullRuns(t *testing.T) {
 		for _, load := range loads {
 			for _, g := range order {
 				asked := members[g]
-				ok, stopped, err := probeRows(rows, plans, asked, load)
+				ok, st, err := probeRows(rows, plans, asked, load, Scenario.Build)
 				if err != nil {
 					return tl, err
 				}
 				tl.probes++
-				if stopped {
+				if st.stopped {
 					tl.stopped++
+				}
+				if st.tied {
+					tl.tied++
+				}
+				if len(asked) > 1 && rows[asked[0]].Spec.Deadline != core.DeadlineNone {
+					tl.sharedEDF++
 				}
 				for k, i := range asked {
 					s := rows[i]
@@ -186,8 +262,8 @@ func TestEarlyStopSharedVerdictsMatchFullRuns(t *testing.T) {
 						return tl, err
 					}
 					if ok[k] != want {
-						return tl, fmt.Errorf("seed %d %s SLO %v load %.4f: probe verdict %v (stopped %v, shared by %d rows), full run %v",
-							s.Fidelity.Seed, s.Spec.Name, slos[i%len(slos)], load, ok[k], stopped, len(asked), want)
+						return tl, fmt.Errorf("seed %d %s %d-class SLO %v load %.4f: probe verdict %v (%+v, shared by %d rows), full run %v",
+							s.Fidelity.Seed, s.Spec.Name, s.Classes.Len(), slos[i%len(slos)], load, ok[k], st, len(asked), want)
 					}
 					tl.verdicts++
 					if want {
@@ -205,13 +281,15 @@ func TestEarlyStopSharedVerdictsMatchFullRuns(t *testing.T) {
 	for _, tl := range tallies {
 		sum.probes += tl.probes
 		sum.stopped += tl.stopped
+		sum.sharedEDF += tl.sharedEDF
+		sum.tied += tl.tied
 		sum.verdicts += tl.verdicts
 		sum.passes += tl.passes
 	}
-	t.Logf("%d probes (%d stopped early) gave %d row verdicts (%d passes), all equal to full runs",
-		sum.probes, sum.stopped, sum.verdicts, sum.passes)
-	if sum.probes < 960 || sum.stopped == 0 || sum.passes == 0 || sum.passes == sum.verdicts {
-		t.Errorf("coverage: %d probes, %d stopped, %d of %d verdicts passed; want >= 960 probes, some stopped, some passing and some failing",
-			sum.probes, sum.stopped, sum.passes, sum.verdicts)
+	t.Logf("%d probes (%d stopped early; %d shared by deadline rows, %d of them tie-guard fallbacks) gave %d row verdicts (%d passes), all equal to full runs",
+		sum.probes, sum.stopped, sum.sharedEDF, sum.tied, sum.verdicts, sum.passes)
+	if sum.verdicts < 960 || sum.stopped == 0 || sum.sharedEDF == 0 || sum.passes == 0 || sum.passes == sum.verdicts {
+		t.Errorf("coverage: %d verdicts from %d probes, %d stopped, %d shared deadline probes, %d verdicts passed; want >= 960 verdicts, some stopped, some shared deadline probes, some passing and some failing",
+			sum.verdicts, sum.probes, sum.stopped, sum.sharedEDF, sum.passes)
 	}
 }
