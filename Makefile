@@ -129,11 +129,12 @@ shard-smoke:
 # property suites must hold, the max-load search's early-stopped,
 # shared-row probes — deadline-blind rows, and single-class TF-EDFQ and
 # T-EDFQ rows, which share across SLOs — must give every row the verdict
-# its own full run gives (2 560-verdict differential, which logs how often
-# the EDF tie guard fell back), the grouping rule must pair exactly the
-# rows whose runs cannot tell their SLOs apart, the tie guard must mark
-# exact and near EDF ties and fall back to each row's own run, one shared
-# run's per-row verdicts must equal MeetsSLOs, single-class PRIQ and
+# its own full run gives, and the rows sharing a probe must have
+# bit-identical full runs (2 560-verdict differential), the grouping rule
+# must pair exactly the rows whose runs cannot tell their SLOs apart, SLO
+# rows whose rounded absolute deadlines order a pair differently must
+# still run identically on the SLO-free EDF keys, one shared run's
+# per-row verdicts must equal MeetsSLOs, single-class PRIQ and
 # T-EDFQ must be bit-identical to FIFO, the in-place query fill must give
 # the by-value stream with fanout-sized placements that recycle without
 # allocating, and quantiles read by selection must equal sorted ones.
@@ -142,7 +143,7 @@ perf-smoke:
 	$(GO) test ./internal/workload -run 'TestNextMatchesNextInto|TestNextIntoRecycleAllocationFree|TestRecycledPlacementServesItsFanout' -count=1
 	$(GO) test ./internal/metrics -run 'TestQuantileSelectionMatchesSort|TestBootstrapQuantileCIPinned' -count=1
 	$(GO) test ./internal/sim -run 'TestWheel|FuzzWheelVsHeapPopOrder|TestDrain' -count=1
-	$(GO) test ./internal/experiment -run 'TestEarlyStopSharedVerdictsMatchFullRuns|TestCensusDoesNotDependOnLoad|TestBisectMatchesMaxLoadPerRow|TestProbeTwins|TestTieGuard|TestSingleClassPRIQAndTEDFQAreFIFO' -count=1 -v
+	$(GO) test ./internal/experiment -run 'TestEarlyStopSharedVerdictsMatchFullRuns|TestCensusDoesNotDependOnLoad|TestBisectMatchesMaxLoadPerRow|TestProbeTwins|TestSharedProbeExactAtOrderFlip|TestSingleClassPRIQAndTEDFQAreFIFO' -count=1 -v
 
 # tgd-smoke proves the scheduler daemon end to end: enqueue a batch of
 # deadline-stamped queries over a journal file, crash a worker mid-lease,

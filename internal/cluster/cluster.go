@@ -152,16 +152,6 @@ type Config struct {
 	// checks is certain to fail, marking the Result Stopped. The max-load
 	// search sets it on its probes; nil runs every query.
 	EarlyStop *EarlyStop
-	// TieGuardMs, when positive, watches every EDF pop for a near tie and
-	// marks the Result NearTie on the first one (popNext). The max-load
-	// search sets it on a run shared by single-class SLO rows, whose
-	// deadlines differ only by a constant shift: it is the largest budget
-	// magnitude |SLO − x_p^u(kf)| any of those rows stamps. A run with no
-	// near tie pops the same task at every pop under each row's SLO, so
-	// with nothing else reading deadlines (admission, hedging, faults and
-	// obs off) every row would have produced its schedule and latencies.
-	// Zero runs unwatched, bit for bit as before.
-	TieGuardMs float64
 }
 
 // EarlyStop lets a run stop once its SLO verdict can only be a failure.
@@ -305,9 +295,6 @@ func (c *Config) validate() error {
 			return err
 		}
 	}
-	if !(c.TieGuardMs >= 0) || math.IsInf(c.TieGuardMs, 1) {
-		return fmt.Errorf("cluster: tie guard %v must be finite and non-negative", c.TieGuardMs)
-	}
 	if c.Shards > 1 {
 		if err := c.validateSharded(); err != nil {
 			return err
@@ -348,9 +335,6 @@ func (c *Config) validateSharded() error {
 	if c.EarlyStop != nil {
 		return fmt.Errorf("cluster: sharded runs do not support early stopping (shards record completions out of global order)")
 	}
-	if c.TieGuardMs != 0 {
-		return fmt.Errorf("cluster: sharded runs do not support the EDF tie guard (shards pop their queues outside the sequential runner)")
-	}
 	return nil
 }
 
@@ -385,11 +369,6 @@ type Result struct {
 	// query: every check failed. Its counters and recorders cover only
 	// the queries simulated up to the stop.
 	Stopped bool
-	// NearTie marks a run under Config.TieGuardMs in which some EDF pop's
-	// winner led its runner-up by no more than rounding could move that
-	// lead under another SLO the guard covers: the run's schedule is its
-	// own, and may not be theirs.
-	NearTie bool
 
 	// Duration is the simulated time from t=0 to the last completion (ms).
 	Duration float64
@@ -428,7 +407,7 @@ func (res *Result) reset() {
 	res.Failed, res.LostTasks, res.Retries = 0, 0, 0
 	res.HedgesIssued, res.HedgeWins = 0, 0
 	res.CreditDeferred, res.Throttled, res.ControlTicks = 0, 0, 0
-	res.Stopped, res.NearTie = false, false
+	res.Stopped = false
 	res.Duration, res.Utilization = 0, 0
 	res.OfferedLoad, res.TaskMissRatio = 0, 0
 	res.Overall.Reset()
@@ -846,6 +825,7 @@ type runner struct {
 	hedgeH    sim.Handler
 	ctlH      sim.Handler
 	loadIx    *loadIndex // nil unless hedging or retries can read it
+	keyBase   float64    // a task's EDF key plus keyBase is its queuing deadline
 	missed    int
 	tasks     int
 	err       error // first internal error; aborts the run
@@ -910,6 +890,7 @@ func Run(cfg Config) (*Result, error) {
 		attrib:  cfg.Attribution,
 		faults:  cfg.Faults,
 		resil:   cfg.Resilience,
+		keyBase: keyBase(&cfg),
 	}
 	r.recycler, _ = cfg.Generator.(ServerRecycler)
 	r.arrivalH = r.onArrivalEvent
@@ -1084,18 +1065,38 @@ func (r *runner) serviceDist(s int) dist.Distribution {
 	return serviceDistFor(&r.cfg, s)
 }
 
-// deadlineForQuery computes the task queuing deadline for a query under
-// cfg, honoring per-query budget overrides (the request-level extension).
+// keyBase returns the constant a run's EDF keys leave out of its task
+// deadlines: the Deadliner's tightest class SLO (core.Deadliner.Key),
+// so that single-class runs stamp the same keys whatever their SLO, or
+// 0 for HeterogeneousDeadlines, whose keys are the deadlines themselves.
+func keyBase(cfg *Config) float64 {
+	if cfg.HeterogeneousDeadlines {
+		return 0
+	}
+	return cfg.Deadliner.MinSLO()
+}
+
+// deadlineForQuery computes the EDF key of a query's tasks under cfg:
+// the task queuing deadline less base, the run's keyBase. It honors
+// per-query budget overrides (the request-level extension).
 //
 //tg:hotpath
-func deadlineForQuery(cfg *Config, q *workload.Query) (float64, error) {
+func deadlineForQuery(cfg *Config, q *workload.Query, base float64) (float64, error) {
 	if q.HasBudget {
-		return q.Arrival + q.Budget, nil
+		return q.Arrival + (q.Budget - base), nil
 	}
 	if cfg.HeterogeneousDeadlines {
 		return cfg.Deadliner.DeadlineServers(q.Arrival, q.Class, q.Servers)
 	}
-	return cfg.Deadliner.Deadline(q.Arrival, q.Class, q.Fanout)
+	return cfg.Deadliner.Key(q.Arrival, q.Class, q.Fanout)
+}
+
+// missedDeadline reports whether a task dequeued at now missed its
+// queuing deadline, key + base; an infinite key never misses.
+//
+//tg:hotpath
+func missedDeadline(now, key, base float64) bool {
+	return now > key+base
 }
 
 // scheduleNextArrival has the source write the next query into a pooled
@@ -1212,12 +1213,12 @@ func (r *runner) onArrival(q *workload.Query, injected bool) {
 		r.res.TimelineAdmitted[r.timelineBucket(q.Arrival)]++
 	}
 
-	deadline, err := deadlineForQuery(&r.cfg, q)
+	key, err := deadlineForQuery(&r.cfg, q, r.keyBase)
 	if err != nil {
 		r.fail(fmt.Errorf("cluster: deadline for query %d: %w", q.ID, err)) //tg:cold config error, aborts the run
 		return
 	}
-	r.obs.Query(obs.KindDeadline, q.Arrival, q.ID, int32(q.Class), deadline)
+	r.obs.Query(obs.KindDeadline, q.Arrival, q.ID, int32(q.Class), key+r.keyBase)
 	st, ok := r.arena.states.claim(q.ID)
 	if !ok {
 		r.fail(fmt.Errorf("cluster: duplicate query ID %d", q.ID)) //tg:cold malformed source, aborts the run
@@ -1243,7 +1244,7 @@ func (r *runner) onArrival(q *workload.Query, injected bool) {
 		t.Server = s
 		t.Class = q.Class
 		t.Arrival = q.Arrival
-		t.Deadline = deadline
+		t.Deadline = key
 		t.Enqueued = q.Arrival
 		t.Service = svc
 		r.sendTask(t, q.Arrival)
@@ -1304,7 +1305,7 @@ func (r *runner) enqueue(s int, t *policy.Task) {
 			// queuing deadline passes (slack exhausted), duplicate it.
 			hs := &policy.HedgeState{Primary: t}
 			t.Hedge = hs
-			at := t.Deadline
+			at := t.Deadline + r.keyBase
 			if now := r.engine.Now(); at < now {
 				at = now
 			}
@@ -1320,45 +1321,16 @@ func (r *runner) enqueue(s int, t *policy.Task) {
 
 // popNext dequeues the next task for server s, emitting the depth sample.
 // The index update is unconditional: a hedge-skimming Pop can shorten
-// the queue even when it returns nil. Under Config.TieGuardMs the pop is
-// checked against the runner-up, the task now at the head.
+// the queue even when it returns nil.
 //
 //tg:hotpath
 func (r *runner) popNext(s int) *policy.Task {
 	next := r.queues[s].Pop()
 	r.loadChanged(s)
-	if next != nil && r.cfg.TieGuardMs > 0 && !r.res.NearTie {
-		if up := r.queues[s].Peek(); up != nil && nearTie(next.Deadline, up.Deadline, r.cfg.TieGuardMs) {
-			r.res.NearTie = true
-		}
-	}
 	if next != nil && r.obs != nil {
 		r.obs.QueueDepth(r.engine.Now(), int32(s), r.queues[s].Len())
 	}
 	return next
-}
-
-// nearTie reports whether an EDF pop of key kw over the runner-up's key
-// kr could go the other way under another SLO row the tie guard covers;
-// budgetMs bounds |SLO − x| over those rows' SLOs and the budgets x they
-// subtract (Config.TieGuardMs).
-//
-// A row with SLO σ stamps k = fl(t0 + fl(σ − x)). Its exact value
-// K = t0 + σ − x moves by the same σ' − σ for every task under another
-// row's σ', so the exact lead K_r − K_w is the same for every row. With
-// unit roundoff u = 2^-53, |k − K| ≤ u|σ − x| + u|t0 + fl(σ − x)|
-// ≤ u·budgetMs + u|k|/(1−u). Under σ' a key is at most |k| + 2·budgetMs
-// (plus O(u)) in magnitude, so its error is at most u(|k| + 3·budgetMs)
-// to first order. The lead under σ' is the lead here less at most the
-// four errors, 2u(|kw| + |kr| + 4·budgetMs) to first order. The margin
-// below is four times that, which also covers the higher-order terms and
-// the rounding of the lead and the margin themselves. A lead above it is
-// positive under every covered SLO, so every row pops the same task. An
-// exact tie (lead 0, decided by the push sequence alone) always trips.
-//
-//tg:hotpath
-func nearTie(kw, kr, budgetMs float64) bool {
-	return kr-kw <= 0x1p-50*(math.Abs(kw)+math.Abs(kr)+4*budgetMs)
 }
 
 // pause starts a server's outage window.
@@ -1392,7 +1364,7 @@ func (r *runner) startService(s int, t *policy.Task) {
 	t.Dequeued = now
 	r.obs.TaskEvent(obs.KindDispatch, now, t.QueryID, int32(t.Index), int32(s), int32(t.Class), now-t.Enqueued)
 
-	missed := now > t.Deadline // +Inf deadlines never miss
+	missed := missedDeadline(now, t.Deadline, r.keyBase)
 	if missed {
 		r.missed++
 	}

@@ -105,9 +105,6 @@ func (res *Result) Equal(other *Result) error {
 	if res.Stopped != other.Stopped {
 		return fmt.Errorf("Stopped: %v vs %v", res.Stopped, other.Stopped)
 	}
-	if res.NearTie != other.NearTie {
-		return fmt.Errorf("NearTie: %v vs %v", res.NearTie, other.NearTie)
-	}
 	ints := [...]struct {
 		name string
 		a, b int

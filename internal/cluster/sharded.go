@@ -220,6 +220,7 @@ type clusterShard struct {
 	enqH     sim.Handler
 	compH    sim.Handler
 	warmup   int64
+	keyBase  float64
 	nMissed  int
 	nTasks   int
 	err      error
@@ -238,6 +239,7 @@ func (sh *clusterShard) prepare(cfg *Config) error {
 	sh.cfg = cfg
 	sh.faults = cfg.Faults
 	sh.warmup = int64(cfg.Warmup)
+	sh.keyBase = keyBase(cfg)
 	sh.err = nil
 	sh.nMissed, sh.nTasks = 0, 0
 	sh.recs = sh.recs[:0]
@@ -356,7 +358,7 @@ func (sh *clusterShard) startService(l int, t *policy.Task) {
 	sh.busy[l] = true
 	sh.nTasks++
 	t.Dequeued = now
-	if now > t.Deadline { // +Inf deadlines never miss
+	if missedDeadline(now, t.Deadline, sh.keyBase) {
 		sh.nMissed++
 	}
 	if t.QueryID >= sh.warmup {
@@ -480,6 +482,7 @@ type shardPump struct {
 	rng      *rand.Rand
 	faults   *fault.Engine
 	recycler ServerRecycler
+	keyBase  float64
 	shards   int
 	windowMs float64
 	pending  workload.Query
@@ -527,7 +530,7 @@ func (p *shardPump) emitQuery(b *shardBatch) error {
 	if p.timelineAdmitted != nil {
 		p.timelineAdmitted[int(q.Arrival/cfg.TimelineBucketMs)]++
 	}
-	deadline, err := deadlineForQuery(cfg, q)
+	deadline, err := deadlineForQuery(cfg, q, p.keyBase)
 	if err != nil {
 		return fmt.Errorf("cluster: deadline for query %d: %w", q.ID, err) //tg:cold config error
 	}
@@ -892,6 +895,7 @@ func runSharded(cfg Config) (*Result, error) {
 		cfg:      &cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		faults:   cfg.Faults,
+		keyBase:  keyBase(&cfg),
 		shards:   cfg.Shards,
 		windowMs: shardWindow(&cfg),
 	}

@@ -238,7 +238,6 @@ func TestShardedRejectsUnsupportedFeatures(t *testing.T) {
 		{"early stop", func(c *Config) {
 			c.EarlyStop = &EarlyStop{Stride: 9, Checks: []SLOCheck{{SLOMs: []float64{50}, Quota: make([]int32, 9)}}}
 		}},
-		{"tie guard", func(c *Config) { c.TieGuardMs = 1 }},
 		{"more shards than servers", func(c *Config) { c.Shards = 9 }},
 		{"negative shards", func(c *Config) { c.Shards = -1 }},
 		{"negative window", func(c *Config) { c.ShardWindowMs = -1 }},

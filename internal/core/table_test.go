@@ -15,9 +15,10 @@ import (
 // budget cannot drift by an ulp between the table and the rule).
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// The table serves exactly what the miss handler computes: every class ×
-// fanout, under all three deadline rules, on the miss and on the hit,
-// whatever order the entries were filled in.
+// The table serves exactly the tail term the miss handler computes, and
+// Budget and Key are built from it: every class × fanout, under all three
+// deadline rules, on the miss and on the hit, whatever order the entries
+// were filled in.
 func TestBudgetTableMatchesMissHandler(t *testing.T) {
 	const maxFanout = 128
 	w := dist.MustTailbenchWorkload("masstree")
@@ -31,6 +32,7 @@ func TestBudgetTableMatchesMissHandler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TwoClasses: %v", err)
 	}
+	slo := []float64{0.3, 1.5}
 	for _, spec := range []Spec{FIFO, TEDFQ, TFEDFQ} {
 		d, err := NewDeadliner(spec, est, classes)
 		if err != nil {
@@ -41,7 +43,7 @@ func TestBudgetTableMatchesMissHandler(t *testing.T) {
 		for pass := 0; pass < 2; pass++ { // pass 0 misses, pass 1 hits
 			for _, f := range fanouts {
 				for class := 1; class >= 0; class-- {
-					want, err := d.compute(class, f+1)
+					x, err := d.compute(class, f+1)
 					if err != nil {
 						t.Fatalf("%s compute(%d, %d): %v", spec.Name, class, f+1, err)
 					}
@@ -49,15 +51,19 @@ func TestBudgetTableMatchesMissHandler(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s Budget(%d, %d): %v", spec.Name, class, f+1, err)
 					}
-					if !sameBits(got, want) {
-						t.Fatalf("%s pass %d Budget(%d, %d) = %v, miss handler says %v", spec.Name, pass, class, f+1, got, want)
+					if !sameBits(got, slo[class]-x) {
+						t.Fatalf("%s pass %d Budget(%d, %d) = %v, miss handler says %v − %v", spec.Name, pass, class, f+1, got, slo[class], x)
 					}
-					if _, ok := d.lookup(class, f+1); !ok {
-						t.Fatalf("%s Budget(%d, %d) left no table entry", spec.Name, class, f+1)
+					if e, ok := d.lookup(class, f+1); !ok || !sameBits(e, x) {
+						t.Fatalf("%s table entry (%d, %d) = %v, %v; want the tail term %v", spec.Name, class, f+1, e, ok, x)
 					}
 					td, err := d.Deadline(100, class, f+1)
-					if err != nil || !sameBits(td, 100+want) {
-						t.Fatalf("%s Deadline(100, %d, %d) = %v, %v; want %v", spec.Name, class, f+1, td, err, 100+want)
+					if err != nil || !sameBits(td, 100+got) {
+						t.Fatalf("%s Deadline(100, %d, %d) = %v, %v; want %v", spec.Name, class, f+1, td, err, 100+got)
+					}
+					key, err := d.Key(100, class, f+1)
+					if want := 100 + ((slo[class] - slo[0]) - x); err != nil || !sameBits(key, want) {
+						t.Fatalf("%s Key(100, %d, %d) = %v, %v; want %v", spec.Name, class, f+1, key, err, want)
 					}
 					negative = negative || got < 0
 				}
@@ -86,12 +92,66 @@ func TestBudgetTableMatchesMissHandler(t *testing.T) {
 
 		// Past the table's width a budget is still right, just not kept.
 		wide, err := d.Budget(1, maxTableFanout+1)
-		want, _ := d.compute(1, maxTableFanout+1)
-		if err != nil || !sameBits(wide, want) {
-			t.Errorf("%s Budget(fanout %d) = %v, %v; want %v", spec.Name, maxTableFanout+1, wide, err, want)
+		x, _ := d.compute(1, maxTableFanout+1)
+		if err != nil || !sameBits(wide, slo[1]-x) {
+			t.Errorf("%s Budget(fanout %d) = %v, %v; want %v", spec.Name, maxTableFanout+1, wide, err, slo[1]-x)
 		}
 		if got := d.table.Load().cols; got > maxFanout {
 			t.Errorf("%s: table grew to %d columns, want <= %d", spec.Name, got, maxFanout)
+		}
+	}
+}
+
+// Tabling the tail term instead of the budget moved no budget: these are
+// the values the table gave when it held budgets, to the bit.
+func TestBudgetsPinned(t *testing.T) {
+	est, _ := NewHomogeneousStaticTailEstimator(dist.MustTailbenchWorkload("masstree").ServiceTime, 128)
+	classes, _ := workload.TwoClasses(0.3, 5)
+	for _, tc := range []struct {
+		spec          Spec
+		class, fanout int
+		want          float64
+	}{
+		{FIFO, 0, 1, math.Inf(1)},
+		{FIFO, 1, 128, math.Inf(1)},
+		{TEDFQ, 0, 10, 0.3},
+		{TEDFQ, 1, 100, 1.5},
+		{TFEDFQ, 0, 1, 0.08099999999999999},
+		{TFEDFQ, 0, 100, -0.173},
+		{TFEDFQ, 0, 128, -0.22265430055742802},
+		{TFEDFQ, 1, 10, 1.2530000000000001},
+		{TFEDFQ, 1, 128, 0.977345699442572},
+	} {
+		d, _ := NewDeadliner(tc.spec, est, classes)
+		if got, err := d.Budget(tc.class, tc.fanout); err != nil || !sameBits(got, tc.want) {
+			t.Errorf("%s Budget(%d, %d) = %v, %v; want %v", tc.spec.Name, tc.class, tc.fanout, got, err, tc.want)
+		}
+	}
+}
+
+// With one class a key carries no SLO: two Deadliners whose only class
+// differs in its SLO stamp the same bits for every arrival and fanout, so
+// their EDF orders are one order. The key plus MinSLO is the deadline up
+// to rounding.
+func TestSingleClassKeysIgnoreTheSLO(t *testing.T) {
+	est, _ := NewHomogeneousStaticTailEstimator(dist.MustTailbenchWorkload("masstree").ServiceTime, 100)
+	for _, spec := range []Spec{TEDFQ, TFEDFQ} {
+		var d [2]*Deadliner
+		for i, slo := range []float64{5.85, 5.86} {
+			classes, _ := workload.SingleClass(slo)
+			d[i], _ = NewDeadliner(spec, est, classes)
+		}
+		for _, t0 := range []float64{0, 1, 1.0000000000000002, 3.7, 12345.678} {
+			for _, f := range []int{1, 2, 10, 100} {
+				k0, err0 := d[0].Key(t0, 0, f)
+				k1, err1 := d[1].Key(t0, 0, f)
+				if err0 != nil || err1 != nil || !sameBits(k0, k1) {
+					t.Fatalf("%s Key(%v, 0, %d) = %v (SLO 5.85), %v (SLO 5.86); want the same bits", spec.Name, t0, f, k0, k1)
+				}
+				if td, _ := d[0].Deadline(t0, 0, f); math.Abs(k0+d[0].MinSLO()-td) > 1e-9 {
+					t.Errorf("%s Key(%v, 0, %d) + MinSLO %v = %v, deadline %v", spec.Name, t0, f, d[0].MinSLO(), k0+d[0].MinSLO(), td)
+				}
+			}
 		}
 	}
 }
@@ -103,12 +163,12 @@ func TestBudgetTableGrowsPastTheCluster(t *testing.T) {
 	est, _ := NewHomogeneousStaticTailEstimator(w.ServiceTime, 1)
 	classes, _ := workload.SingleClass(20)
 	d, _ := NewDeadliner(TFEDFQ, est, classes)
-	tables := map[*budgetTable]bool{}
+	tables := map[*tailTable]bool{}
 	for f := 1; f <= 1024; f++ {
 		got, err := d.Budget(0, f)
-		want, _ := d.compute(0, f)
-		if err != nil || !sameBits(got, want) {
-			t.Fatalf("Budget(0, %d) = %v, %v; want %v", f, got, err, want)
+		x, _ := d.compute(0, f)
+		if err != nil || !sameBits(got, 20-x) {
+			t.Fatalf("Budget(0, %d) = %v, %v; want %v", f, got, err, 20-x)
 		}
 		tables[d.table.Load()] = true
 	}
@@ -152,7 +212,7 @@ func TestFreshDeadlinerDoesNoWorkUntilFirstBudget(t *testing.T) {
 		if d.table.Load() != nil || cd.quantiles.Load() != 0 {
 			t.Fatalf("fresh Deadliner: table %v, %d quantile calls; want none", d.table.Load(), cd.quantiles.Load())
 		}
-		var first *budgetTable
+		var first *tailTable
 		for i := 0; i < 1000; i++ {
 			if _, err := d.Budget(i%2, []int{1, 10, 100}[i%3]); err != nil {
 				t.Fatalf("Budget: %v", err)
@@ -208,9 +268,9 @@ func TestBudgetTableInvalidatedByEstimatorEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Budget after observe: %v", err)
 	}
-	want, _ := d.compute(0, 1)
-	if !sameBits(after, want) || after >= before {
-		t.Errorf("budget after %d slow observations = %v (was %v), miss handler says %v", n, after, before, want)
+	x, _ := d.compute(0, 1)
+	if !sameBits(after, 100-x) || after >= before {
+		t.Errorf("budget after %d slow observations = %v (was %v), miss handler says %v", n, after, before, 100-x)
 	}
 	// Any server's version advancing moves the epoch, not only server 0's.
 	epoch = est.Epoch()
@@ -288,8 +348,8 @@ func TestDeadlinerConcurrentBudgetAndObserve(t *testing.T) {
 	for class := 0; class < 2; class++ {
 		for fanout := 1; fanout <= 64; fanout++ {
 			got, _ := d.Budget(class, fanout)
-			if want, _ := d.compute(class, fanout); !sameBits(got, want) {
-				t.Errorf("after the storm Budget(%d, %d) = %v, miss handler says %v", class, fanout, got, want)
+			if x, _ := d.compute(class, fanout); !sameBits(got, 50*float64(1+class)-x) {
+				t.Errorf("after the storm Budget(%d, %d) = %v, miss handler says %v", class, fanout, got, 50*float64(1+class)-x)
 			}
 		}
 	}

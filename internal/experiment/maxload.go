@@ -2,13 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"tailguard/internal/cluster"
-	"tailguard/internal/core"
 	"tailguard/internal/metrics"
 	"tailguard/internal/parallel"
 	"tailguard/internal/workload"
@@ -412,9 +410,7 @@ func ScenarioMaxLoad(s Scenario, bounds MaxLoadBounds) (float64, error) {
 //
 //   - Rows that are probeTwins (no admission control, differing only in
 //     SLOs the policy cannot tell apart) share every probe: one run per
-//     load answers all of them. Where the policy stamps deadlines, a
-//     shared run that meets a near tie in the EDF order gives only its
-//     first row's verdict; the others are run alone (probeRows).
+//     load answers all of them.
 //   - A probe stops as soon as it is certain to fail for every row that
 //     asked for it (cluster.EarlyStop). Certainty comes from the row's
 //     census: each type's final sample count, counted once per search
@@ -471,13 +467,10 @@ func probeGroups(rows []Scenario) []int {
 
 // rowPlan is what a search works out for a row before probing it: its
 // early-stop check and the stride of its tables (a nil Quota means the
-// row's probes never stop early), and the largest budget magnitude
-// |SLO − x_p^u(kf)| its deadlines carry, which bounds the tie guard of a
-// probe it shares.
+// row's probes never stop early).
 type rowPlan struct {
-	check    cluster.SLOCheck
-	stride   int
-	budgetMs float64
+	check  cluster.SLOCheck
+	stride int
 }
 
 // planRows builds each row's plan. The early-stop check comes from the
@@ -491,22 +484,6 @@ func planRows(rows []Scenario, load float64) ([]rowPlan, error) {
 	for i, s := range rows {
 		if s.AdmissionWindowMs > 0 || s.Shards > 1 {
 			continue
-		}
-		var budgetMs float64
-		if s.Spec.Deadline != core.DeadlineNone {
-			dl, err := s.deadliner()
-			if err != nil {
-				return nil, err
-			}
-			for _, c := range s.Classes.Classes() {
-				for _, f := range s.Fanout.Support() {
-					b, err := dl.Budget(c.ID, f)
-					if err != nil {
-						return nil, err
-					}
-					budgetMs = max(budgetMs, math.Abs(b))
-				}
-			}
 		}
 		stride := s.Fanout.Max() + 1
 		for j := 0; j < i && counts[i] == nil; j++ {
@@ -531,33 +508,23 @@ func planRows(rows []Scenario, load float64) ([]rowPlan, error) {
 				}
 			}
 		}
-		plans[i] = rowPlan{check: check, stride: stride, budgetMs: budgetMs}
+		plans[i] = rowPlan{check: check, stride: stride}
 	}
 	return plans, nil
 }
 
-// probeStats says how a shared probe ran: whether its run stopped early,
-// and whether its tie guard tripped, sending the rows after the first to
-// runs of their own.
-type probeStats struct {
-	stopped, tied bool
-}
-
 // probeRows runs one probe at load for the asked rows, which share it,
-// and returns each row's verdict; build turns the first asked row, at
-// load, into the run (Scenario.Build). The run stops early once it is
-// certain to fail for all of them; a stopped run fails every one. A run
-// shared by rows with deadlines watches its EDF order for near ties
-// (cluster.Config.TieGuardMs). If it meets one, the run still is the
-// first row's own run and gives that row's verdict, and every other row
-// is probed alone.
+// and returns each row's verdict and whether the run stopped early; build
+// turns the first asked row, at load, into the run (Scenario.Build). The
+// run stops early once it is certain to fail for all of them, and a
+// stopped run fails every one.
 func probeRows(rows []Scenario, plans []rowPlan, asked []int, load float64,
-	build func(Scenario) (cluster.Config, error)) (ok []bool, st probeStats, err error) {
+	build func(Scenario) (cluster.Config, error)) (ok []bool, stopped bool, err error) {
 	s := rows[asked[0]]
 	s.Load = load
 	cfg, err := build(s)
 	if err != nil {
-		return nil, st, err
+		return nil, false, err
 	}
 	if p := plans[asked[0]]; p.check.Quota != nil {
 		es := &cluster.EarlyStop{Stride: p.stride, Checks: make([]cluster.SLOCheck, len(asked))}
@@ -566,48 +533,26 @@ func probeRows(rows []Scenario, plans []rowPlan, asked []int, load float64,
 		}
 		cfg.EarlyStop = es
 	}
-	if len(asked) > 1 && s.Spec.Deadline != core.DeadlineNone {
-		for _, i := range asked {
-			cfg.TieGuardMs = max(cfg.TieGuardMs, plans[i].budgetMs)
-		}
-	}
 	a := arenaPool.Get().(*cluster.Arena)
 	defer arenaPool.Put(a)
 	cfg.Arena = a
 	res, err := cluster.Run(cfg)
 	if err != nil {
-		return nil, st, err
+		return nil, false, err
 	}
 	defer a.Release(res)
-	st = probeStats{stopped: res.Stopped, tied: res.NearTie}
 	ok = make([]bool, len(asked))
-	switch {
-	case res.Stopped:
-		// Every row fails: every check failed, the first row's on its own
-		// schedule.
-	case st.tied:
-		if ok[0], _, err = res.MeetsSLOs(s.Classes, s.Fidelity.MinSamples); err != nil {
-			return nil, st, err
-		}
-	default:
-		sets := make([]*workload.ClassSet, len(asked))
-		for k, i := range asked {
-			sets[k] = rows[i].Classes
-		}
-		if err := res.MeetsSLOsEach(sets, s.Fidelity.MinSamples, ok); err != nil {
-			return nil, st, err
-		}
+	if res.Stopped {
+		return ok, true, nil // every check failed
 	}
-	if st.tied {
-		for k, i := range asked[1:] {
-			alone, _, err := probeRows(rows, plans, []int{i}, load, build)
-			if err != nil {
-				return nil, st, err
-			}
-			ok[k+1] = alone[0]
-		}
+	sets := make([]*workload.ClassSet, len(asked))
+	for k, i := range asked {
+		sets[k] = rows[i].Classes
 	}
-	return ok, st, nil
+	if err := res.MeetsSLOsEach(sets, s.Fidelity.MinSamples, ok); err != nil {
+		return nil, false, err
+	}
+	return ok, false, nil
 }
 
 // classSetForPaper returns the class configurations the paper's case

@@ -190,9 +190,8 @@ func sameStream(a, b Scenario) bool {
 //   - The policy is EDF over deadlines t0 + SLO − x_p^u (T-EDFQ,
 //     TF-EDFQ), and both rows have one class with the same percentile,
 //     so x_p^u is the same and the SLO shifts every deadline by one
-//     constant. The EDF order is then the same up to rounding, which the
-//     shared run checks (cluster.Config.TieGuardMs); the sharded core,
-//     which cannot check it, never shares these.
+//     constant. The cluster stamps keys without it (core.Deadliner.Key),
+//     so both rows stamp the same bits and pop in the same order.
 func probeTwins(a, b Scenario) bool {
 	if a.AdmissionWindowMs > 0 || b.AdmissionWindowMs > 0 || a.Spec != b.Spec || a.Workload != b.Workload ||
 		a.Fidelity != b.Fidelity || a.Shards != b.Shards || a.ShardWindowMs != b.ShardWindowMs || !sameStream(a, b) {
@@ -201,7 +200,7 @@ func probeTwins(a, b Scenario) bool {
 	if a.Spec.Deadline == core.DeadlineNone {
 		return true
 	}
-	return a.Shards <= 1 && a.Classes.Len() == 1 && b.Classes.Len() == 1 &&
+	return a.Classes.Len() == 1 && b.Classes.Len() == 1 &&
 		a.Classes.Classes()[0].Percentile == b.Classes.Classes()[0].Percentile
 }
 

@@ -128,7 +128,7 @@ func TestProbeTwins(t *testing.T) {
 		{"TF-EDFQ, other fanouts", row(core.TFEDFQ, 1, 1),
 			with(row(core.TFEDFQ, 1.5, 1), func(s *Scenario) { s.Fanout = fixed }), false},
 		{"TF-EDFQ, sharded", with(row(core.TFEDFQ, 1, 1), func(s *Scenario) { s.Shards = 2 }),
-			with(row(core.TFEDFQ, 1.5, 1), func(s *Scenario) { s.Shards = 2 }), false},
+			with(row(core.TFEDFQ, 1.5, 1), func(s *Scenario) { s.Shards = 2 }), true},
 		{"FIFO, sharded", with(row(core.FIFO, 1, 1), func(s *Scenario) { s.Shards = 2 }),
 			with(row(core.FIFO, 1.5, 1), func(s *Scenario) { s.Shards = 2 }), true},
 	}
@@ -199,10 +199,10 @@ func TestBisectMatchesMaxLoadPerRow(t *testing.T) {
 // seeds two), twenty loads across [0.05, 0.95] — each row's verdict read
 // off an early-stopping probe equals the verdict of that row's own full
 // run. A probe is shared by all four SLO rows for FIFO and PRIQ, and for
-// TF-EDFQ and T-EDFQ with one class, where it also runs the tie guard.
-// Some probes must have stopped, some deadline probes must have been
-// shared, and some verdicts must pass and some fail, or the proof covers
-// nothing. It logs how often the tie guard sent rows to runs of their own.
+// TF-EDFQ and T-EDFQ with one class; the full runs of the rows sharing a
+// probe must be one run, bit for bit. Some probes must have stopped, some
+// deadline probes must have been shared, and some verdicts must pass and
+// some fail, or the proof covers nothing.
 func TestEarlyStopSharedVerdictsMatchFullRuns(t *testing.T) {
 	fid := Fidelity{Queries: 1200, Warmup: 120, MinSamples: 10, LoadTol: 0.02}
 	slos := []float64{0.75, 1, 1.5, 2}
@@ -216,7 +216,7 @@ func TestEarlyStopSharedVerdictsMatchFullRuns(t *testing.T) {
 		f.Seed = int64(i + 1)
 		seeds[i] = sweepRows(t, []core.Spec{core.TFEDFQ, core.TEDFQ, core.FIFO, core.PRIQ}, slos, 1+i%2, f)
 	}
-	type tally struct{ probes, stopped, sharedEDF, tied, verdicts, passes int }
+	type tally struct{ probes, stopped, sharedEDF, verdicts, passes int }
 	tallies, err := parallel.Map(nil, len(seeds), func(seed int) (tally, error) {
 		var tl tally
 		rows := seeds[seed]
@@ -236,34 +236,40 @@ func TestEarlyStopSharedVerdictsMatchFullRuns(t *testing.T) {
 		for _, load := range loads {
 			for _, g := range order {
 				asked := members[g]
-				ok, st, err := probeRows(rows, plans, asked, load, Scenario.Build)
+				ok, stopped, err := probeRows(rows, plans, asked, load, Scenario.Build)
 				if err != nil {
 					return tl, err
 				}
 				tl.probes++
-				if st.stopped {
+				if stopped {
 					tl.stopped++
-				}
-				if st.tied {
-					tl.tied++
 				}
 				if len(asked) > 1 && rows[asked[0]].Spec.Deadline != core.DeadlineNone {
 					tl.sharedEDF++
 				}
+				// Compared before any verdict: reading a quantile reorders
+				// a recorder's samples.
+				full := make([]*cluster.Result, len(asked))
 				for k, i := range asked {
 					s := rows[i]
 					s.Load = load
-					full, err := s.Run()
-					if err != nil {
+					if full[k], err = s.Run(); err != nil {
 						return tl, err
 					}
-					want, _, err := full.MeetsSLOs(s.Classes, s.Fidelity.MinSamples)
+					if err := sameRun(full[0], full[k]); err != nil {
+						return tl, fmt.Errorf("seed %d %s %d-class load %.4f: full runs of the rows sharing a probe differ: %v",
+							s.Fidelity.Seed, s.Spec.Name, s.Classes.Len(), load, err)
+					}
+				}
+				for k, i := range asked {
+					s := rows[i]
+					want, _, err := full[k].MeetsSLOs(s.Classes, s.Fidelity.MinSamples)
 					if err != nil {
 						return tl, err
 					}
 					if ok[k] != want {
-						return tl, fmt.Errorf("seed %d %s %d-class SLO %v load %.4f: probe verdict %v (%+v, shared by %d rows), full run %v",
-							s.Fidelity.Seed, s.Spec.Name, s.Classes.Len(), slos[i%len(slos)], load, ok[k], st, len(asked), want)
+						return tl, fmt.Errorf("seed %d %s %d-class SLO %v load %.4f: probe verdict %v (stopped %v, shared by %d rows), full run %v",
+							s.Fidelity.Seed, s.Spec.Name, s.Classes.Len(), slos[i%len(slos)], load, ok[k], stopped, len(asked), want)
 					}
 					tl.verdicts++
 					if want {
@@ -282,12 +288,11 @@ func TestEarlyStopSharedVerdictsMatchFullRuns(t *testing.T) {
 		sum.probes += tl.probes
 		sum.stopped += tl.stopped
 		sum.sharedEDF += tl.sharedEDF
-		sum.tied += tl.tied
 		sum.verdicts += tl.verdicts
 		sum.passes += tl.passes
 	}
-	t.Logf("%d probes (%d stopped early; %d shared by deadline rows, %d of them tie-guard fallbacks) gave %d row verdicts (%d passes), all equal to full runs",
-		sum.probes, sum.stopped, sum.sharedEDF, sum.tied, sum.verdicts, sum.passes)
+	t.Logf("%d probes (%d stopped early, %d shared by deadline rows) gave %d row verdicts (%d passes), all equal to full runs",
+		sum.probes, sum.stopped, sum.sharedEDF, sum.verdicts, sum.passes)
 	if sum.verdicts < 960 || sum.stopped == 0 || sum.sharedEDF == 0 || sum.passes == 0 || sum.passes == sum.verdicts {
 		t.Errorf("coverage: %d verdicts from %d probes, %d stopped, %d shared deadline probes, %d verdicts passed; want >= 960 verdicts, some stopped, some shared deadline probes, some passing and some failing",
 			sum.verdicts, sum.probes, sum.stopped, sum.sharedEDF, sum.passes)

@@ -23,7 +23,7 @@ type Task struct {
 	Server   int     // destination task server
 	Class    int     // service class ID (0 = highest priority for PRIQ)
 	Arrival  float64 // query arrival time t0 (ms)
-	Deadline float64 // task queuing deadline tD (ms); consumed by EDF
+	Deadline float64 // task queuing deadline tD (ms), or tD less a constant of the run; consumed by EDF
 	Enqueued float64 // time the task entered the queue (ms)
 	Dequeued float64 // time the task left the queue for service (ms); set by the dispatcher
 	Service  float64 // sampled service time (ms); consumed by SJF only
