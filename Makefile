@@ -4,7 +4,7 @@
 GO ?= go
 TGLINT := bin/tglint
 
-.PHONY: all build lint lint-report lint-diff vet fmt test race bench bench-smoke bench-compare obs-smoke fault-smoke shard-smoke perf-smoke tgd-smoke control-smoke ci clean
+.PHONY: all build lint vet fmt test race bench bench-smoke obs-smoke fault-smoke shard-smoke perf-smoke tgd-smoke control-smoke ci clean
 
 # Benchmarks that feed BENCH_harness.json: the parallel-harness sweep pair,
 # the sharded-core throughput pair, the scheduler-daemon wire cycle, and
@@ -21,26 +21,10 @@ build:
 $(TGLINT): $(shell find tools/tglint -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $(TGLINT) ./tools/tglint
 
-# lint runs the tglint analyzer suite twice: standalone over the module
-# (fast, one process, honoring the expiring suppressions in
-# lint-baseline.json) and as a `go vet -vettool` (exercises the
-# unitchecker wire protocol the way CI consumers drive it).
+# lint runs the tglint analyzer suite over the whole module, tests
+# included; any finding fails the target.
 lint: $(TGLINT)
-	./$(TGLINT) -baseline lint-baseline.json ./...
-	$(GO) vet -vettool=$(TGLINT) ./...
-
-# lint-report regenerates the committed reference report that CI's
-# lint-diff step compares fresh runs against. Refresh it whenever
-# findings are fixed (lintdiff prints a reminder).
-lint-report: $(TGLINT)
-	./$(TGLINT) -json -o lint-report.json ./... || true
-
-# lint-diff emulates the CI gate locally: fail only on findings absent
-# from the committed reference report.
-lint-diff: $(TGLINT)
-	./$(TGLINT) -json -o lint-report.new.json ./... || true
-	$(GO) run ./tools/lintdiff lint-report.json lint-report.new.json
-	rm -f lint-report.new.json
+	./$(TGLINT) ./...
 
 vet:
 	$(GO) vet ./...
@@ -74,18 +58,6 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -short -benchtime 1x -benchmem . | tee bench.txt
 	$(GO) run ./tools/benchjson -o BENCH_harness.json bench.txt
-
-# bench-compare diffs a fresh smoke run against the committed
-# BENCH_harness.json (per-benchmark ns/op and allocs/op deltas). By
-# default it is a report, not a gate: the diff exits 0 when both files
-# parse. Set BENCHCOMPARE_FLAGS='-max-regress 25' (or any threshold) to
-# make it fail on ns/op regressions beyond that percentage.
-BENCHCOMPARE_FLAGS ?=
-bench-compare:
-	git show HEAD:BENCH_harness.json > bench_baseline.json
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -short -benchtime 1x -benchmem . | tee bench.txt
-	$(GO) run ./tools/benchjson -o bench_fresh.json bench.txt
-	$(GO) run ./tools/benchcompare $(BENCHCOMPARE_FLAGS) bench_baseline.json bench_fresh.json
 
 # obs-smoke proves the observability plane end to end: a short
 # instrumented tgsim sweep whose Chrome-trace and Prometheus dumps must

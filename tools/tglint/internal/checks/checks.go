@@ -4,35 +4,28 @@ package checks
 import (
 	"tailguard/tools/tglint/internal/checks/detflow"
 	"tailguard/tools/tglint/internal/checks/errreturn"
-	"tailguard/tools/tglint/internal/checks/faultdet"
 	"tailguard/tools/tglint/internal/checks/floateq"
+	"tailguard/tools/tglint/internal/checks/forbidcall"
 	"tailguard/tools/tglint/internal/checks/guardedby"
 	"tailguard/tools/tglint/internal/checks/hotalloc"
 	"tailguard/tools/tglint/internal/checks/lockorder"
 	"tailguard/tools/tglint/internal/checks/maporder"
-	"tailguard/tools/tglint/internal/checks/obsclock"
 	"tailguard/tools/tglint/internal/checks/poolzero"
-	"tailguard/tools/tglint/internal/checks/seededrand"
-	"tailguard/tools/tglint/internal/checks/simclock"
 	"tailguard/tools/tglint/internal/lint"
 )
 
-// All returns every analyzer in the suite, in stable order. Both drivers
-// (standalone and vettool) consume exactly this list via the shared
-// `suite` variable in the main package; driver_test.go locks that.
+// All returns every analyzer in the suite, sorted by name so reports are
+// stable across runs. Add new analyzers here.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		detflow.Analyzer,
 		errreturn.Analyzer,
-		faultdet.Analyzer,
 		floateq.Analyzer,
+		forbidcall.Analyzer,
 		guardedby.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
 		maporder.Analyzer,
-		obsclock.Analyzer,
 		poolzero.Analyzer,
-		seededrand.Analyzer,
-		simclock.Analyzer,
 	}
 }

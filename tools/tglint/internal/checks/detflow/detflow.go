@@ -1,12 +1,13 @@
 // Package detflow taint-tracks nondeterminism across function and
 // package boundaries. The determinism contract behind every golden table
 // in this repository — identical (plan, seed, clock) inputs produce
-// bit-identical output — is already enforced *locally* by simclock,
-// seededrand, and faultdet, which ban calling the sources directly. What
-// they cannot see is a value that *derives* from such a source flowing in
-// from another package: a helper in an unrestricted package returning
-// `time.Now()`-derived jitter, an os.Getenv-dependent threshold, or a
-// map-iteration-ordered slice, consumed by the deterministic core.
+// bit-identical output — is already enforced *locally* by forbidcall's
+// simclock, seededrand and faultdet rows, which ban calling the sources
+// directly. What they cannot see is a value that *derives* from such a
+// source flowing in from another package: a helper in an unrestricted
+// package returning `time.Now()`-derived jitter, an os.Getenv-dependent
+// threshold, or a map-iteration-ordered slice, consumed by the
+// deterministic core.
 //
 // detflow closes that hole with a conservative, flow-insensitive taint
 // analysis: inside each function, values derived from nondeterminism
@@ -45,7 +46,7 @@ import (
 // source. Source is the human-readable origin chain, e.g.
 // "time.Now (via tailguard/internal/x.Jitter)".
 type NondetFact struct {
-	Source string `json:"source"`
+	Source string
 }
 
 // AFact implements lint.Fact.
@@ -63,10 +64,9 @@ var ProtectedPackages = []string{
 
 // Analyzer implements the check.
 var Analyzer = &lint.Analyzer{
-	Name:      "detflow",
-	Doc:       "interprocedural taint tracking of nondeterminism sources (wall clock, global rand, env, map order) into deterministic-core result values",
-	Run:       run,
-	FactTypes: []lint.Fact{(*NondetFact)(nil)},
+	Name: "detflow",
+	Doc:  "interprocedural taint tracking of nondeterminism sources (wall clock, global rand, env, map order) into deterministic-core result values",
+	Run:  run,
 }
 
 // protected reports whether pkgPath is in the deterministic core.

@@ -42,18 +42,18 @@ import (
 // LockEdge is one acquisition-order edge: To was (or must be, for
 // declared edges) acquired while From was held.
 type LockEdge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
+	From string
+	To   string
 	// Where records the function (pkg.Func) that observed or declared the
 	// edge, for cycle reports.
-	Where string `json:"where"`
+	Where string
 }
 
 // EdgesFact is the package fact carrying the acquisition graph: this
 // package's own edges plus every edge imported from its dependencies, so
 // consumers need no transitive walk.
 type EdgesFact struct {
-	Edges []LockEdge `json:"edges"`
+	Edges []LockEdge
 }
 
 // AFact implements lint.Fact.
@@ -61,7 +61,7 @@ func (*EdgesFact) AFact() {}
 
 // BlockingFact marks a function that may block indefinitely.
 type BlockingFact struct {
-	Why string `json:"why"`
+	Why string
 }
 
 // AFact implements lint.Fact.
@@ -69,10 +69,9 @@ func (*BlockingFact) AFact() {}
 
 // Analyzer implements the check.
 var Analyzer = &lint.Analyzer{
-	Name:      "lockorder",
-	Doc:       "cross-package mutex acquisition graph: report lock-order cycles (deadlocks) and mutexes held across blocking operations",
-	Run:       run,
-	FactTypes: []lint.Fact{(*EdgesFact)(nil), (*BlockingFact)(nil)},
+	Name: "lockorder",
+	Doc:  "cross-package mutex acquisition graph: report lock-order cycles (deadlocks) and mutexes held across blocking operations",
+	Run:  run,
 }
 
 var declRe = regexp.MustCompile(`^//tg:lockorder\s+(\S+)\s*<\s*(\S+)\s*$`)

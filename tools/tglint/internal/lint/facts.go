@@ -1,33 +1,25 @@
 package lint
 
 // Facts are tglint's interprocedural layer, mirroring the shape of
-// golang.org/x/tools' analysis.Fact: an analyzer attaches a serializable
-// fact to a package-level object (or to a package as a whole) while
-// analyzing the package that declares it, and analyzers of downstream
-// packages read those facts back. Two transports exist:
-//
-//   - the standalone driver and the golden-test harness share one
-//     in-process FactStore across a Session, analyzing module
-//     dependencies facts-first;
-//   - the `go vet -vettool` driver serializes the store into the .vetx
-//     file cmd/go caches per package and reloads the .vetx files of the
-//     unit's imports (PackageVetx), so facts survive process boundaries.
+// golang.org/x/tools' analysis.Fact: an analyzer attaches a fact to a
+// package-level object (or to a package as a whole) while analyzing the
+// package that declares it, and analyzers of downstream packages read
+// those facts back. The driver and the golden-test harness share one
+// in-memory FactStore across a Session, analyzing module dependencies
+// facts-first.
 //
 // Facts are keyed by (normalized package path, object key, fact type),
-// never by go/types object identity, so the two transports and repeated
-// type-checks of the same source agree on what a fact is attached to.
+// never by go/types object identity, so repeated type-checks of the same
+// source (a package's library and test-inclusive variants) agree on what
+// a fact is attached to.
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
-// Fact is a serializable datum an analyzer exports for a package-level
-// object or a package. Implementations must be pointers to JSON-encodable
-// structs and are registered via Analyzer.FactTypes.
+// Fact is a datum an analyzer exports for a package-level object or a
+// package. Implementations must be pointers to structs.
 type Fact interface {
 	// AFact marks the type as a fact; it has no behavior.
 	AFact()
@@ -40,7 +32,7 @@ type factKey struct {
 	fact string // reflect type string of the fact, e.g. "detflow.NondetFact"
 }
 
-// FactStore holds facts across an analysis session or vet unit.
+// FactStore holds facts across an analysis session.
 // Drivers are single-threaded; the store is not safe for concurrent use.
 type FactStore struct {
 	m map[factKey]Fact
@@ -51,7 +43,7 @@ func NewFactStore() *FactStore {
 	return &FactStore{m: make(map[factKey]Fact)}
 }
 
-// factName names a fact's concrete type for keys and serialization.
+// factName names a fact's concrete type for keys.
 func factName(f Fact) string {
 	t := reflect.TypeOf(f)
 	for t.Kind() == reflect.Pointer {
@@ -108,90 +100,6 @@ func (s *FactStore) get(pkg, obj string, target Fact) bool {
 	}
 	dst.Elem().Set(src.Elem())
 	return true
-}
-
-// factEntry is the serialized form of one fact.
-type factEntry struct {
-	Pkg  string          `json:"pkg"`
-	Obj  string          `json:"obj,omitempty"`
-	Fact string          `json:"fact"`
-	Data json.RawMessage `json:"data"`
-}
-
-// Encode serializes every fact in the store (imported facts included, so
-// a package's .vetx re-exports its dependencies' facts and transitive
-// imports need not be walked by the consumer). Output is deterministic.
-func (s *FactStore) Encode() ([]byte, error) {
-	keys := make([]factKey, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.pkg != b.pkg {
-			return a.pkg < b.pkg
-		}
-		if a.obj != b.obj {
-			return a.obj < b.obj
-		}
-		return a.fact < b.fact
-	})
-	entries := make([]factEntry, 0, len(keys))
-	for _, k := range keys {
-		data, err := json.Marshal(s.m[k])
-		if err != nil {
-			return nil, fmt.Errorf("lint: encoding fact %s on %s.%s: %w", k.fact, k.pkg, k.obj, err)
-		}
-		entries = append(entries, factEntry{Pkg: k.pkg, Obj: k.obj, Fact: k.fact, Data: data})
-	}
-	return json.Marshal(entries)
-}
-
-// FactRegistry maps serialized fact type names to prototypes, built from
-// the analyzer suite's FactTypes declarations.
-type FactRegistry map[string]reflect.Type
-
-// NewFactRegistry collects the fact types declared by analyzers.
-func NewFactRegistry(analyzers []*Analyzer) FactRegistry {
-	reg := make(FactRegistry)
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			t := reflect.TypeOf(f)
-			for t.Kind() == reflect.Pointer {
-				t = t.Elem()
-			}
-			reg[t.String()] = t
-		}
-	}
-	return reg
-}
-
-// Decode merges serialized facts into the store. Facts of types absent
-// from the registry are skipped (an older tool version may have written
-// them); malformed data is an error. Empty input is a valid empty set.
-func (s *FactStore) Decode(data []byte, reg FactRegistry) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var entries []factEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return fmt.Errorf("lint: decoding facts: %w", err)
-	}
-	for _, e := range entries {
-		t, ok := reg[e.Fact]
-		if !ok {
-			continue
-		}
-		f, ok := reflect.New(t).Interface().(Fact)
-		if !ok {
-			continue
-		}
-		if err := json.Unmarshal(e.Data, f); err != nil {
-			return fmt.Errorf("lint: decoding fact %s on %s.%s: %w", e.Fact, e.Pkg, e.Obj, err)
-		}
-		s.m[factKey{e.Pkg, e.Obj, e.Fact}] = f
-	}
-	return nil
 }
 
 // ExportObjectFact attaches a fact to obj, a package-level object of the

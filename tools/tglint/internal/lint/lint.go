@@ -6,8 +6,8 @@
 // closely enough that the analyzers in ../checks could be ported to
 // x/tools by changing only import paths.
 //
-// Two drivers feed it: the standalone module walker (tglint ./...) and
-// the `go vet -vettool` unitchecker protocol, both in tools/tglint.
+// One driver feeds it: the standalone module walker (tglint ./...) in
+// tools/tglint.
 package lint
 
 import (
@@ -27,9 +27,6 @@ type Analyzer struct {
 	Doc string
 	// Run executes the check against one package.
 	Run func(*Pass) error
-	// FactTypes lists prototypes of every fact type the analyzer exports
-	// or imports; required for the vet driver to deserialize them.
-	FactTypes []Fact
 }
 
 // Diagnostic is one finding, anchored to a source position.
@@ -47,7 +44,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	facts *FactStore // nil when the driver provides no fact transport
+	facts *FactStore // nil when the caller keeps no facts
 	diags *[]Diagnostic
 }
 
@@ -66,19 +63,14 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 }
 
 // PkgPath returns the package's import path normalized for matching
-// against configured package lists: the build system's test-variant
-// decorations ("pkg [pkg.test]", "pkg_test") are stripped so a package's
-// test files inherit its rules.
+// against configured package lists: an external test package's "_test"
+// suffix is stripped so a package's test files inherit its rules.
 func (p *Pass) PkgPath() string {
 	return NormalizePkgPath(p.Pkg.Path())
 }
 
-// NormalizePkgPath strips go vet's test-variant suffixes from a package
-// path: "p [p.test]" and "p_test [p.test]" both normalize to "p".
+// NormalizePkgPath maps an external test package path "p_test" to "p".
 func NormalizePkgPath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		path = path[:i]
-	}
 	return strings.TrimSuffix(path, "_test")
 }
 

@@ -26,8 +26,7 @@ type Unit struct {
 // Loader parses and type-checks packages without the go toolchain,
 // resolving imports from a configurable source tree and falling back to
 // type-checking the standard library from $GOROOT/src. It serves the
-// standalone tglint driver and the analyzer golden tests; the `go vet`
-// driver instead consumes export data handed to it by cmd/go.
+// tglint driver and the analyzer golden tests.
 type Loader struct {
 	Fset *token.FileSet
 	// Resolve maps an import path to the directory holding its source, or

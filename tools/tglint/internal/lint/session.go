@@ -4,9 +4,7 @@ package lint
 // package's diagnostics run, its in-scope dependencies get a facts-only
 // pass (library files, no tests — test files cannot contribute importable
 // facts and may themselves import back into the dependency graph), in
-// dependency order, sharing one FactStore. This is the in-process
-// equivalent of cmd/go's vet scheduling, where each unit's .vetx output
-// feeds its dependents.
+// dependency order, sharing one FactStore.
 
 import (
 	"fmt"

@@ -1,37 +1,24 @@
-// Package report is tglint's structured findings pipeline: the stable
-// Finding record, JSON and SARIF 2.1.0 emitters, and the expiring
-// suppression baseline. File paths are module-root-relative with forward
-// slashes and line numbers are advisory, so reports diff cleanly across
-// machines and across unrelated edits (tools/lintdiff matches findings by
-// analyzer, file, and message — never by line).
+// Package report renders tglint findings as text: one
+// `file:line:col: message [analyzer]` line per finding, file paths
+// module-root-relative with forward slashes, sorted so output diffs
+// cleanly across machines and runs.
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"io"
-	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
-	"time"
 )
 
-// Finding is one diagnostic in stable, machine-readable form.
+// Finding is one diagnostic with a module-relative position.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"` // module-root-relative, forward slashes
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-}
-
-// Rule describes one analyzer for SARIF rule metadata.
-type Rule struct {
-	ID  string
-	Doc string
+	Analyzer string
+	File     string // module-root-relative, forward slashes
+	Line     int
+	Col      int
+	Message  string
 }
 
 // New builds a Finding from a resolved position, relativizing the file
@@ -52,6 +39,11 @@ func New(analyzer string, pos token.Position, message, rootDir string) Finding {
 	}
 }
 
+// String renders the finding as one report line.
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.File, f.Line, f.Col, f.Message, f.Analyzer)
+}
+
 // Sort orders findings by (file, line, col, analyzer, message).
 func Sort(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
@@ -70,242 +62,4 @@ func Sort(fs []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-// WriteJSON emits findings as an indented JSON array ([] when empty).
-func WriteJSON(w io.Writer, fs []Finding) error {
-	if fs == nil {
-		fs = []Finding{}
-	}
-	data, err := json.MarshalIndent(fs, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\n", data)
-	return err
-}
-
-// sarif* types are the minimal subset of the SARIF 2.1.0 schema that
-// GitHub code scanning and IDE SARIF viewers consume.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// WriteSARIF emits findings as a SARIF 2.1.0 log. rules supplies the
-// analyzer descriptions for the tool.driver.rules table; analyzers
-// referenced by findings but absent from rules still emit valid results.
-func WriteSARIF(w io.Writer, fs []Finding, rules []Rule) error {
-	srules := make([]sarifRule, 0, len(rules))
-	for _, r := range rules {
-		srules = append(srules, sarifRule{ID: r.ID, ShortDescription: sarifMessage{Text: r.Doc}})
-	}
-	results := make([]sarifResult, 0, len(fs))
-	for _, f := range fs {
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysicalLocation{
-					ArtifactLocation: sarifArtifactLocation{URI: f.File},
-					Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Col},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "tglint", Rules: srules}},
-			Results: results,
-		}},
-	}
-	data, err := json.MarshalIndent(log, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\n", data)
-	return err
-}
-
-// BaselineEntry is one suppression. A finding is suppressed when every
-// non-empty selector matches: Analyzer equals, File equals the finding's
-// module-relative path, and Match (an RE2 regexp) matches the message.
-// Expires is mandatory ("YYYY-MM-DD"): past that date the entry stops
-// suppressing and the findings it hid resurface, so debt cannot park in
-// the baseline indefinitely.
-type BaselineEntry struct {
-	Analyzer string `json:"analyzer,omitempty"`
-	File     string `json:"file,omitempty"`
-	Match    string `json:"match,omitempty"`
-	Expires  string `json:"expires"`
-	Reason   string `json:"reason"`
-
-	re *regexp.Regexp
-}
-
-// Baseline is the checked-in suppression set (lint-baseline.json).
-type Baseline struct {
-	Entries []BaselineEntry `json:"entries"`
-}
-
-// expiresLayout is the baseline date format.
-const expiresLayout = "2006-01-02"
-
-// ParseBaseline decodes and validates a baseline document.
-func ParseBaseline(data []byte) (*Baseline, error) {
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("report: parse baseline: %w", err)
-	}
-	for i := range b.Entries {
-		e := &b.Entries[i]
-		if e.Expires == "" {
-			return nil, fmt.Errorf("report: baseline entry %d has no expires date (suppressions must expire)", i)
-		}
-		if _, err := time.Parse(expiresLayout, e.Expires); err != nil {
-			return nil, fmt.Errorf("report: baseline entry %d: bad expires date %q (want YYYY-MM-DD)", i, e.Expires)
-		}
-		if e.Reason == "" {
-			return nil, fmt.Errorf("report: baseline entry %d has no reason", i)
-		}
-		if e.Analyzer == "" && e.File == "" && e.Match == "" {
-			return nil, fmt.Errorf("report: baseline entry %d matches everything (set analyzer, file, or match)", i)
-		}
-		if e.Match != "" {
-			re, err := regexp.Compile(e.Match)
-			if err != nil {
-				return nil, fmt.Errorf("report: baseline entry %d: bad match regexp: %w", i, err)
-			}
-			e.re = re
-		}
-	}
-	return &b, nil
-}
-
-// LoadBaseline reads and parses a baseline file.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("report: load baseline: %w", err)
-	}
-	return ParseBaseline(data)
-}
-
-// expired reports whether the entry no longer suppresses at now.
-func (e *BaselineEntry) expired(now time.Time) bool {
-	t, err := time.Parse(expiresLayout, e.Expires)
-	if err != nil {
-		return true
-	}
-	// The entry covers the whole expiry day.
-	return now.After(t.AddDate(0, 0, 1))
-}
-
-// Matches reports whether the entry's selectors cover the finding,
-// ignoring expiry.
-func (e *BaselineEntry) Matches(f Finding) bool {
-	if e.Analyzer != "" && e.Analyzer != f.Analyzer {
-		return false
-	}
-	if e.File != "" && e.File != f.File {
-		return false
-	}
-	if e.Match != "" {
-		re := e.re
-		if re == nil {
-			var err error
-			re, err = regexp.Compile(e.Match)
-			if err != nil {
-				return false
-			}
-		}
-		if !re.MatchString(f.Message) {
-			return false
-		}
-	}
-	return true
-}
-
-// Apply splits findings into kept (reportable) and suppressed, honoring
-// expiry at now. It also returns the expired entries that would still
-// have matched a finding — the signal that parked debt has come due.
-func (b *Baseline) Apply(fs []Finding, now time.Time) (kept, suppressed []Finding, overdue []BaselineEntry) {
-	overdueSeen := make(map[int]bool)
-	for _, f := range fs {
-		hidden := false
-		for i := range b.Entries {
-			e := &b.Entries[i]
-			if !e.Matches(f) {
-				continue
-			}
-			if e.expired(now) {
-				if !overdueSeen[i] {
-					overdueSeen[i] = true
-					overdue = append(overdue, *e)
-				}
-				continue
-			}
-			hidden = true
-			break
-		}
-		if hidden {
-			suppressed = append(suppressed, f)
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	return kept, suppressed, overdue
 }

@@ -2,19 +2,8 @@ package report
 
 import (
 	"go/token"
-	"strings"
 	"testing"
-	"time"
 )
-
-func sample() []Finding {
-	return []Finding{
-		{Analyzer: "detflow", File: "internal/fault/plan.go", Line: 164, Col: 2,
-			Message: "result of Validate derives from nondeterministic source map iteration order"},
-		{Analyzer: "maporder", File: "internal/workload/fanout.go", Line: 173, Col: 2,
-			Message: "map iteration order reaches append into fanouts (never sorted)"},
-	}
-}
 
 func TestNewRelativizesAndSlashes(t *testing.T) {
 	pos := token.Position{Filename: "/repo/internal/x/y.go", Line: 3, Column: 7}
@@ -37,145 +26,5 @@ func TestSortIsTotalAndStable(t *testing.T) {
 	Sort(fs)
 	if fs[0].Analyzer != "z" || fs[1].Analyzer != "a" || fs[2].Analyzer != "b" {
 		t.Fatalf("Sort order wrong: %+v", fs)
-	}
-}
-
-// TestWriteJSONGolden locks the exact JSON shape: an array of flat
-// finding objects, indented, trailing newline, [] when empty.
-func TestWriteJSONGolden(t *testing.T) {
-	var b strings.Builder
-	if err := WriteJSON(&b, sample()); err != nil {
-		t.Fatal(err)
-	}
-	want := `[
-  {
-    "analyzer": "detflow",
-    "file": "internal/fault/plan.go",
-    "line": 164,
-    "col": 2,
-    "message": "result of Validate derives from nondeterministic source map iteration order"
-  },
-  {
-    "analyzer": "maporder",
-    "file": "internal/workload/fanout.go",
-    "line": 173,
-    "col": 2,
-    "message": "map iteration order reaches append into fanouts (never sorted)"
-  }
-]
-`
-	if b.String() != want {
-		t.Errorf("WriteJSON output:\n%s\nwant:\n%s", b.String(), want)
-	}
-
-	b.Reset()
-	if err := WriteJSON(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != "[]\n" {
-		t.Errorf("empty WriteJSON = %q, want %q", b.String(), "[]\n")
-	}
-}
-
-// TestWriteSARIFGolden locks the SARIF 2.1.0 skeleton: schema URL,
-// version, one run with driver name, rule table, and per-finding results
-// carrying physical locations.
-func TestWriteSARIFGolden(t *testing.T) {
-	var b strings.Builder
-	rules := []Rule{{ID: "detflow", Doc: "interprocedural nondeterminism taint"}}
-	if err := WriteSARIF(&b, sample(), rules); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`"$schema": "https://json.schemastore.org/sarif-2.1.0.json"`,
-		`"version": "2.1.0"`,
-		`"name": "tglint"`,
-		`"id": "detflow"`,
-		`"text": "interprocedural nondeterminism taint"`,
-		`"ruleId": "maporder"`,
-		`"uri": "internal/workload/fanout.go"`,
-		`"startLine": 173`,
-		`"level": "error"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("SARIF output missing %s\ngot:\n%s", want, out)
-		}
-	}
-}
-
-func TestParseBaselineValidation(t *testing.T) {
-	cases := []struct {
-		name, doc, wantErr string
-	}{
-		{"no expiry", `{"entries":[{"analyzer":"detflow","reason":"r"}]}`, "no expires"},
-		{"bad expiry", `{"entries":[{"analyzer":"detflow","expires":"someday","reason":"r"}]}`, "bad expires"},
-		{"no reason", `{"entries":[{"analyzer":"detflow","expires":"2026-12-31"}]}`, "no reason"},
-		{"no selector", `{"entries":[{"expires":"2026-12-31","reason":"r"}]}`, "matches everything"},
-		{"bad regexp", `{"entries":[{"match":"(","expires":"2026-12-31","reason":"r"}]}`, "bad match regexp"},
-	}
-	for _, c := range cases {
-		if _, err := ParseBaseline([]byte(c.doc)); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.wantErr)
-		}
-	}
-	if _, err := ParseBaseline([]byte(`{"entries":[]}`)); err != nil {
-		t.Errorf("empty baseline should parse: %v", err)
-	}
-	if _, err := ParseBaseline([]byte(`{"entries":[{"analyzer":"maporder","file":"a.go","match":"x","expires":"2026-12-31","reason":"pending rework"}]}`)); err != nil {
-		t.Errorf("full entry should parse: %v", err)
-	}
-}
-
-// TestBaselineApplyGolden locks suppression semantics: unexpired
-// matching entries hide findings, expired ones resurface them and are
-// reported as overdue, and matching is line-insensitive by construction
-// (entries carry no line field).
-func TestBaselineApplyGolden(t *testing.T) {
-	b, err := ParseBaseline([]byte(`{"entries":[
-		{"analyzer":"detflow","file":"internal/fault/plan.go","expires":"2026-12-31","reason":"sort landing separately"},
-		{"analyzer":"maporder","expires":"2020-01-01","reason":"long overdue"}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	kept, suppressed, overdue := b.Apply(sample(), now)
-	if len(suppressed) != 1 || suppressed[0].Analyzer != "detflow" {
-		t.Errorf("suppressed = %+v, want the detflow finding", suppressed)
-	}
-	if len(kept) != 1 || kept[0].Analyzer != "maporder" {
-		t.Errorf("kept = %+v, want the maporder finding (its entry expired)", kept)
-	}
-	if len(overdue) != 1 || overdue[0].Expires != "2020-01-01" {
-		t.Errorf("overdue = %+v, want the expired maporder entry", overdue)
-	}
-
-	// On the expiry day itself the entry still suppresses.
-	onExpiry := time.Date(2026, 12, 31, 23, 0, 0, 0, time.UTC)
-	entry := &b.Entries[0]
-	if entry.expired(onExpiry) {
-		t.Error("entry should cover its whole expiry day")
-	}
-	if !entry.expired(time.Date(2027, 1, 2, 1, 0, 0, 0, time.UTC)) {
-		t.Error("entry should expire after its expiry day")
-	}
-}
-
-// TestBaselineMatchingIsLineInsensitive: an entry keyed on analyzer,
-// file, and message matches the finding wherever it moves in the file.
-func TestBaselineMatchingIsLineInsensitive(t *testing.T) {
-	e := BaselineEntry{Analyzer: "detflow", File: "a.go", Match: "map iteration"}
-	f := Finding{Analyzer: "detflow", File: "a.go", Line: 10, Message: "derives from map iteration order"}
-	if !e.Matches(f) {
-		t.Fatal("entry should match")
-	}
-	f.Line = 9999
-	if !e.Matches(f) {
-		t.Fatal("matching must not depend on line numbers")
-	}
-	f.File = "b.go"
-	if e.Matches(f) {
-		t.Fatal("file selector must be honored")
 	}
 }

@@ -1,62 +1,17 @@
 // Command tglint runs TailGuard's custom determinism and concurrency
-// analyzers (see internal/checks) in either of two modes:
+// analyzers (see internal/checks) over the module containing the working
+// directory:
 //
-//	tglint ./...            standalone: walk the module, type-check from
-//	                        source, print findings (CI convenience, no
-//	                        build cache required)
-//	go vet -vettool=$(bin)  unitchecker: speak cmd/go's vet protocol
-//	                        (-flags, -V=full, path/to/vet.cfg), which
-//	                        also covers _test.go files and caches per
-//	                        package
+//	tglint ./...
 //
-// Exit status is 1 when any diagnostic is reported, 2 on operational
-// errors, 0 otherwise.
+// It type-checks every package from source and prints one
+// `file:line:col: message [analyzer]` line per finding to stderr. Exit
+// status is 1 when any finding is reported, 2 on usage or load errors,
+// 0 otherwise.
 package main
 
-import (
-	"fmt"
-	"os"
-	"strings"
-)
+import "os"
 
 func main() {
-	args := os.Args[1:]
-
-	// cmd/go probes the tool before use: `-flags` must print a JSON
-	// description of supported flags, `-V=full` a content-addressed
-	// version line for the build cache.
-	for _, arg := range args {
-		switch {
-		case arg == "-flags" || arg == "--flags":
-			printFlagsJSON()
-			return
-		case arg == "-V" || arg == "-V=full" || arg == "--V=full":
-			printVersion()
-			return
-		}
-	}
-
-	// A single argument ending in .cfg is cmd/go handing us a vet unit.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0]))
-	}
-
-	os.Exit(runStandalone(args))
-}
-
-// printVersion emits the -V=full protocol line. The buildID hashes the
-// executable so cmd/go's action cache invalidates when tglint changes.
-func printVersion() {
-	id, err := selfHash()
-	if err != nil {
-		fmt.Printf("tglint version devel\n")
-		return
-	}
-	fmt.Printf("tglint version devel buildID=%s\n", id)
-}
-
-// printFlagsJSON describes our flags to `go vet` (it validates user
-// flags against this list before invoking us per package).
-func printFlagsJSON() {
-	fmt.Println(`[]`)
+	os.Exit(runStandalone(os.Args[1:], os.Stderr))
 }

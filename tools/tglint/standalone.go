@@ -1,23 +1,14 @@
 package main
 
-// The standalone driver: `tglint [flags] ./...` (or `tglint` with no
-// arguments) walks the module containing the working directory,
-// type-checks every package from source — the standard library included,
-// via $GOROOT/src, so it works without a module proxy or build cache —
-// and runs the analyzer suite. Like the `go vet` driver it analyzes test
-// files too (in-package and external test packages); each analyzer's own
-// filters decide what applies there. Before a package's diagnostics run,
-// its module dependencies get a facts-only pass (lint.Session), so the
-// interprocedural analyzers (detflow, lockorder) see across package
-// boundaries exactly as they do under `go vet -vettool`.
-//
-// Flags (standalone mode only; the vet protocol accepts none):
-//
-//	-json             emit findings as a JSON array instead of text
-//	-sarif            emit findings as SARIF 2.1.0 instead of text
-//	-o FILE           write the structured report to FILE (default stdout)
-//	-baseline FILE    suppress findings matched by unexpired baseline
-//	                  entries (see lint-baseline.json)
+// The driver: `tglint ./...` (or `tglint` with no arguments) walks the
+// module containing the working directory, type-checks every package
+// from source — the standard library included, via $GOROOT/src, so it
+// works without a module proxy or build cache — and runs the analyzer
+// suite. It analyzes test files too (in-package and external test
+// packages); each analyzer's own filters decide what applies there.
+// Before a package's diagnostics run, its module dependencies get a
+// facts-only pass (lint.Session), so the interprocedural analyzers
+// (detflow, lockorder) see across package boundaries.
 
 import (
 	"fmt"
@@ -26,61 +17,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"time"
 
+	"tailguard/tools/tglint/internal/checks"
 	"tailguard/tools/tglint/internal/lint"
 	"tailguard/tools/tglint/internal/report"
 )
-
-// standaloneOpts are the parsed standalone-mode flags.
-type standaloneOpts struct {
-	json     bool
-	sarif    bool
-	out      string
-	baseline string
-	patterns []string
-}
-
-// parseStandaloneArgs splits flags from package patterns.
-func parseStandaloneArgs(args []string) (*standaloneOpts, error) {
-	opts := &standaloneOpts{}
-	for i := 0; i < len(args); i++ {
-		arg := args[i]
-		next := func(name string) (string, error) {
-			if i+1 >= len(args) {
-				return "", fmt.Errorf("flag %s needs a value", name)
-			}
-			i++
-			return args[i], nil
-		}
-		switch {
-		case arg == "-json" || arg == "--json":
-			opts.json = true
-		case arg == "-sarif" || arg == "--sarif":
-			opts.sarif = true
-		case arg == "-o" || arg == "--o":
-			v, err := next("-o")
-			if err != nil {
-				return nil, err
-			}
-			opts.out = v
-		case arg == "-baseline" || arg == "--baseline":
-			v, err := next("-baseline")
-			if err != nil {
-				return nil, err
-			}
-			opts.baseline = v
-		case strings.HasPrefix(arg, "-"):
-			return nil, fmt.Errorf("unknown flag %s", arg)
-		default:
-			opts.patterns = append(opts.patterns, arg)
-		}
-	}
-	if opts.json && opts.sarif {
-		return nil, fmt.Errorf("-json and -sarif are mutually exclusive")
-	}
-	return opts, nil
-}
 
 // findModule walks up from dir to the enclosing go.mod and returns the
 // module root directory, module path, and Go language version.
@@ -110,57 +51,49 @@ func findModule(dir string) (root, modPath, goVersion string, err error) {
 	}
 }
 
-// runStandalone lints the requested packages and returns the exit code.
-// Supported patterns: "./..." (everything), "./dir/..." (subtree), and
-// plain package directories.
-func runStandalone(args []string) int {
-	opts, err := parseStandaloneArgs(args)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tglint: %v\n", err)
-		return 2
+// runStandalone lints the requested packages, writes findings and errors
+// to stderr, and returns the exit code. Supported patterns: "./..."
+// (everything), "./dir/..." (subtree), and plain package directories.
+func runStandalone(args []string, stderr io.Writer) int {
+	for _, arg := range args {
+		if strings.HasPrefix(arg, "-") {
+			fmt.Fprintf(stderr, "tglint: unknown flag %s\n", arg)
+			return 2
+		}
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tglint: %v\n", err)
+		fmt.Fprintf(stderr, "tglint: %v\n", err)
 		return 2
 	}
 	root, modPath, goVersion, err := findModule(cwd)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tglint: %v\n", err)
+		fmt.Fprintf(stderr, "tglint: %v\n", err)
 		return 2
 	}
 	all, err := lint.FindPackages(modPath, root)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tglint: %v\n", err)
+		fmt.Fprintf(stderr, "tglint: %v\n", err)
 		return 2
 	}
 
-	paths, err := selectPackages(all, opts.patterns, cwd, root, modPath)
+	paths, err := selectPackages(all, args, cwd, root, modPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tglint: %v\n", err)
+		fmt.Fprintf(stderr, "tglint: %v\n", err)
 		return 2
-	}
-
-	var base *report.Baseline
-	if opts.baseline != "" {
-		base, err = report.LoadBaseline(opts.baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tglint: %v\n", err)
-			return 2
-		}
 	}
 
 	loader := lint.NewLoader(lint.ModuleResolver(modPath, root), goVersion)
 	inModule := func(p string) bool {
 		return p == modPath || strings.HasPrefix(p, modPath+"/")
 	}
-	session := lint.NewSession(loader, suite, inModule)
+	session := lint.NewSession(loader, checks.All(), inModule)
 
 	var findings []report.Finding
 	for _, path := range paths {
 		diags, _, err := session.Analyze(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tglint: %v\n", err)
+			fmt.Fprintf(stderr, "tglint: %v\n", err)
 			return 2
 		}
 		for _, d := range diags {
@@ -169,54 +102,13 @@ func runStandalone(args []string) int {
 		}
 	}
 	report.Sort(findings)
-
-	if base != nil {
-		kept, suppressed, overdue := base.Apply(findings, time.Now())
-		findings = kept
-		if len(suppressed) > 0 {
-			fmt.Fprintf(os.Stderr, "tglint: %d finding(s) suppressed by baseline %s\n",
-				len(suppressed), opts.baseline)
-		}
-		for _, e := range overdue {
-			fmt.Fprintf(os.Stderr, "tglint: baseline entry expired %s (%s); its findings now report\n",
-				e.Expires, e.Reason)
-		}
-	}
-
-	if err := emitFindings(opts, findings); err != nil {
-		fmt.Fprintf(os.Stderr, "tglint: %v\n", err)
-		return 2
+	for _, f := range findings {
+		fmt.Fprintln(stderr, f)
 	}
 	if len(findings) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// emitFindings writes the findings in the selected format. The
-// structured formats always write (an empty report is meaningful — CI
-// archives it as the "no findings" artifact); the text format prints to
-// stderr like go vet, one line per finding.
-func emitFindings(opts *standaloneOpts, findings []report.Finding) error {
-	if !opts.json && !opts.sarif {
-		for _, f := range findings {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-		}
-		return nil
-	}
-	var w io.Writer = os.Stdout
-	if opts.out != "" {
-		file, err := os.Create(opts.out)
-		if err != nil {
-			return err
-		}
-		defer file.Close()
-		w = file
-	}
-	if opts.sarif {
-		return report.WriteSARIF(w, findings, suiteRules())
-	}
-	return report.WriteJSON(w, findings)
 }
 
 // selectPackages expands command-line patterns against the module's
