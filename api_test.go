@@ -5,8 +5,12 @@ package tailguard
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"testing"
+	"time"
 )
 
 func TestFacadePolicies(t *testing.T) {
@@ -186,5 +190,66 @@ func TestFacadeTestbedPieces(t *testing.T) {
 	}
 	if classes.Len() != 3 {
 		t.Errorf("SaS classes = %d, want 3", classes.Len())
+	}
+	// A small live run through the facade: 32 HTTP edge nodes on
+	// loopback, three classes, every post-warm-up query accounted for.
+	// Wall-clock tails are left to internal/saas's tests.
+	if testing.Short() {
+		t.Skip("live testbed run in -short mode")
+	}
+	stores, err := BuildStores(24 * time.Hour)
+	if err != nil {
+		t.Fatalf("BuildStores: %v", err)
+	}
+	res, err := RunTestbed(TestbedConfig{
+		Spec: TFEDFQ, Load: 0.3, Queries: 60, Warmup: 10, Compression: 10,
+		Seed: 1, EstimatorSeedSamples: 500, SharedStores: stores,
+	})
+	if err != nil {
+		t.Fatalf("RunTestbed: %v", err)
+	}
+	if len(res.Errors) != 0 {
+		t.Fatalf("task errors: %v", res.Errors)
+	}
+	var n int
+	for _, c := range res.ByClass {
+		n += c.Count
+	}
+	if n != 50 {
+		t.Errorf("measured queries = %d, want 50", n)
+	}
+}
+
+// TestFacadeWalkthroughCoverage pins that every root identifier the API
+// walkthroughs teach is still exercised by an Example or by a facade test
+// in this file.
+func TestFacadeWalkthroughCoverage(t *testing.T) {
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range []string{"api_test.go", "example_test.go"} {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+	for _, name := range []string{
+		"Breakpoint", "BuildStores", "Class", "FIFO", "Fidelity",
+		"LatencyRecorder", "MaxLoad", "MaxLoadBounds", "NewClassSet",
+		"NewDeadliner", "NewECDF", "NewFixedFanout",
+		"NewHomogeneousStaticTailEstimator", "NewInverseProportional",
+		"NewQuantileTable", "NewScheduler", "NewZipfFanout", "PRIQ",
+		"RunTestbed", "SLOViolationProbability", "Scenario",
+		"ScenarioMaxLoad", "SchedulerConfig", "SchedulerTask", "SingleClass",
+		"Spec", "TFEDFQ", "TailbenchWorkload", "TestbedConfig", "TwoClasses",
+	} {
+		if !used[name] {
+			t.Errorf("%s is referenced by no Example and no facade test", name)
+		}
 	}
 }

@@ -19,7 +19,8 @@ import (
 // a couple of seconds, large enough that a lost task would be visible.
 const smokeQueries = 60
 
-// runSmoke is the end-to-end durability proof behind `make tgd-smoke`:
+// runSmoke is the end-to-end durability proof behind tgd -smoke (run in
+// tier-1 by TestRunSmoke):
 //
 //  1. start a daemon over a journal file in a temp dir,
 //  2. enqueue smokeQueries deadline-stamped queries (fanout 2),

@@ -14,7 +14,8 @@
 // parallel core (`-shards` picks the shard counts, `-shard-servers` the
 // cluster size, default 10000); every sharded run is gated on
 // bit-identity with the sequential result and any divergence is a fatal
-// error, so the experiment doubles as the `make shard-smoke` check.
+// error (experiment.TestShardScaleEquivalenceGate runs the same gate in
+// go test).
 //
 // Sweeps run on a worker pool sized by -parallel (default: all cores);
 // results are bit-identical at every setting, including -parallel 1.

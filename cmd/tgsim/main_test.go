@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"encoding/csv"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"tailguard/internal/fault"
+	"tailguard/internal/obs"
 )
 
 func TestRunTable2(t *testing.T) {
@@ -48,6 +52,64 @@ func TestRunFaultsCanonical(t *testing.T) {
 	traces, _ := filepath.Glob(filepath.Join(dir, "trace_fault_*_s1.json"))
 	if len(traces) != 4 {
 		t.Fatalf("expected 4 fault traces, got %v", traces)
+	}
+	for _, path := range traces {
+		validateFile(t, path, obs.ValidateChromeTrace)
+	}
+}
+
+// TestRunObs runs the instrumented sweep end to end and validates every
+// artifact it writes: one Chrome trace and one Prometheus exposition per
+// policy.
+func TestRunObs(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-obs", dir, "-queries", "1500"}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, p := range []string{"TailGuard", "FIFO", "PRIQ", "T-EDFQ"} {
+		validateFile(t, filepath.Join(dir, "trace_"+p+"_s1.json"), obs.ValidateChromeTrace)
+		validateFile(t, filepath.Join(dir, "metrics_"+p+"_s1.prom"), obs.ValidateProm)
+	}
+}
+
+// TestRunFlashcrowdControl runs the flash-crowd pack through the CLI with
+// -control: every scenario must get an uncontrolled row and a controlled
+// row, and the controlled row must report the control plane's decisions.
+func TestRunFlashcrowdControl(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-exp", "flashcrowd", "-control", "-queries", "800", "-csv", dir}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "flashcrowd.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil {
+		t.Fatalf("flashcrowd.csv: %v", err)
+	}
+	variants := map[string]int{}
+	for _, row := range rows[1:] {
+		variants[row[1]]++
+		// scale_min: "-" when no controller ran.
+		if scale := row[10]; (row[1] == "controlled") == (scale == "-") {
+			t.Errorf("%s %s: scale_min = %q", row[0], row[1], scale)
+		}
+	}
+	if variants["uncontrolled"] != 3 || variants["controlled"] != 3 {
+		t.Errorf("variant rows = %v, want 3 uncontrolled and 3 controlled", variants)
+	}
+}
+
+func validateFile(t *testing.T, path string, validate func(io.Reader) error) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := validate(f); err != nil {
+		t.Errorf("%s: %v", path, err)
 	}
 }
 

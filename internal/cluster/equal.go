@@ -1,10 +1,10 @@
 // Result equality: a bit-exact comparison used by the sharded-core
-// equivalence gates (golden tests, the shardscale experiment, and `make
-// shard-smoke`). Two results are equal only if every counter, every
-// float64 aggregate (compared by bit pattern, so the order-sensitive
-// floating-point sums must have been accumulated in the same order), and
-// every recorder's full sample sequence — including breakdown key
-// insertion order — match.
+// equivalence gates (golden tests, the shardscale experiment, and its
+// tier-1 run TestShardScaleEquivalenceGate). Two results are equal only
+// if every counter, every float64 aggregate (compared by bit pattern, so
+// the order-sensitive floating-point sums must have been accumulated in
+// the same order), and every recorder's full sample sequence — including
+// breakdown key insertion order — match.
 package cluster
 
 import (

@@ -6,7 +6,7 @@ import (
 	"tailguard/internal/sim"
 )
 
-// TestPerfSmokeWheelVsHeap is the `make perf-smoke` equivalence gate:
+// TestPerfSmokeWheelVsHeap is the wheel's end-to-end equivalence gate:
 // one policy × fault plan × seed simulated end to end on the timing
 // wheel and on the reference binary heap must produce bit-identical
 // Results. The scenario is the canonical all-fault-kinds plan with

@@ -153,8 +153,8 @@ func (e *TailEstimator) XPuFanout(percentile float64, fanout int) (float64, erro
 // XPuServers returns x_p^u for a query dispatched to the specific server
 // set, using the per-server distributions (the heterogeneous form of
 // Eqns. 1-2). Not cached: server sets vary per query, so the sched and
-// saas paths pay the bisection on every query — measured at 83 µs for a
-// 4-server set (the benchmark's sched.budget_ns), most of a sched.Do.
+// saas paths pay the bisection on every query — most of a sched.Do, and
+// what the benchmark's sched.budget_ns row measures on a 4-server set.
 func (e *TailEstimator) XPuServers(percentile float64, servers []int) (float64, error) {
 	if len(servers) == 0 {
 		return 0, fmt.Errorf("core: empty server set")

@@ -68,6 +68,14 @@ type OnlineCDF struct {
 	// always returns exactly what the unmemoized scan would.
 	qmemo     map[float64]float64 // guarded by mu (valid while qmemoAdds == adds)
 	qmemoAdds int                 // guarded by mu
+
+	// Prefix sums for CDF: cum[i] = counts[0] + … + counts[i-1], summed
+	// left to right, so CDF reads the same bits a per-call scan would
+	// add up. A heterogeneous deadline stamp bisects Π F_l(t) and calls
+	// CDF hundreds of times between two Adds; the sums are rebuilt on
+	// the first CDF after an Add, so Add itself does no extra work.
+	cum     []float64 // guarded by mu (valid while cumAdds == adds)
+	cumAdds int       // guarded by mu
 }
 
 // quantileMemoMax caps the memo so callers probing many distinct
@@ -164,25 +172,45 @@ func (o *OnlineCDF) Version() uint64 {
 // CDF implements Distribution.
 func (o *OnlineCDF) CDF(t float64) float64 {
 	o.mu.RLock()
-	defer o.mu.RUnlock()
-	if o.total == 0 {
+	if o.total == 0 || t < o.cfg.Min {
+		o.mu.RUnlock()
 		return 0
 	}
-	if t < o.cfg.Min {
-		return 0
+	if o.cum != nil && o.cumAdds == o.adds {
+		c := o.cdfLocked(t)
+		o.mu.RUnlock()
+		return c
 	}
+	o.mu.RUnlock()
+	// Stale sums: rebuild under the write lock, so the sums and the
+	// total that divides them come from the same adds.
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.cum == nil || o.cumAdds != o.adds {
+		if o.cum == nil {
+			o.cum = make([]float64, len(o.counts))
+		}
+		var c float64
+		for i, w := range o.counts {
+			o.cum[i] = c
+			c += w
+		}
+		o.cumAdds = o.adds
+	}
+	return o.cdfLocked(t)
+}
+
+// cdfLocked reads the CDF at t >= Min from the prefix sums; callers hold
+// mu with cum valid and total > 0.
+func (o *OnlineCDF) cdfLocked(t float64) float64 {
 	b := o.bucketLocked(t)
-	var c float64
-	for i := 0; i < b; i++ {
-		c += o.counts[i]
-	}
 	// Linear interpolation within the bucket.
 	lo, hi := o.bucketLow(b), o.bucketLow(b+1)
 	frac := 1.0
 	if hi > lo {
 		frac = math.Min(1, math.Max(0, (t-lo)/(hi-lo)))
 	}
-	c += o.counts[b] * frac
+	c := o.cum[b] + o.counts[b]*frac
 	return math.Min(1, c/o.total)
 }
 
@@ -209,10 +237,14 @@ func (o *OnlineCDF) Quantile(p float64) float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	v := o.quantileLocked(p)
-	if o.qmemo == nil || o.qmemoAdds != o.adds || len(o.qmemo) >= quantileMemoMax {
+	// A stale memo is emptied in place: a heterogeneous stamp after each
+	// Add would otherwise allocate a fresh map per server.
+	if o.qmemo == nil {
 		o.qmemo = make(map[float64]float64, 8)
-		o.qmemoAdds = o.adds
+	} else if o.qmemoAdds != o.adds || len(o.qmemo) >= quantileMemoMax {
+		clear(o.qmemo)
 	}
+	o.qmemoAdds = o.adds
 	o.qmemo[p] = v
 	return v
 }

@@ -223,3 +223,65 @@ func TestOnlineCDFClampedRange(t *testing.T) {
 		t.Errorf("low quantile = %v, want near Min", q)
 	}
 }
+
+// TestOnlineCDFPrefixSumsMatchScan pins that CDF's cached prefix sums give
+// the bits the per-call scan over the buckets gives, across Adds (which
+// invalidate the sums) and decay sweeps (which rescale every bucket).
+func TestOnlineCDFPrefixSumsMatchScan(t *testing.T) {
+	o := NewOnlineCDF(OnlineCDFConfig{HalfLife: 500, DecayInterval: 64})
+	scan := func(x float64) float64 {
+		o.mu.RLock()
+		defer o.mu.RUnlock()
+		if o.total == 0 || x < o.cfg.Min {
+			return 0
+		}
+		b := o.bucketLocked(x)
+		var c float64
+		for i := 0; i < b; i++ {
+			c += o.counts[i]
+		}
+		lo, hi := o.bucketLow(b), o.bucketLow(b+1)
+		frac := 1.0
+		if hi > lo {
+			frac = math.Min(1, math.Max(0, (x-lo)/(hi-lo)))
+		}
+		c += o.counts[b] * frac
+		return math.Min(1, c/o.total)
+	}
+	exp, _ := NewExponential(1)
+	r := rand.New(rand.NewSource(3))
+	probes := []float64{1e-4, 1e-3, 0.01, 0.3, 0.69, 1, 2.5, 7, 40, 1e7}
+	for i := 0; i < 1000; i++ {
+		if err := o.Add(exp.Sample(r)); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+		if i%7 != 0 {
+			continue
+		}
+		for _, x := range probes {
+			if got, want := o.CDF(x), scan(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("after %d adds: CDF(%v) = %v, scan gives %v", i+1, x, got, want)
+			}
+		}
+	}
+}
+
+// TestOnlineCDFReadsAfterAddAllocationFree pins that the read caches are
+// refreshed in place: once built, an Add followed by CDF and Quantile
+// reads (the heterogeneous stamp's pattern) allocates nothing.
+func TestOnlineCDFReadsAfterAddAllocationFree(t *testing.T) {
+	o := NewOnlineCDF(OnlineCDFConfig{HalfLife: 500})
+	for i := 0; i < 100; i++ {
+		_ = o.Add(float64(i%10) + 0.5)
+	}
+	var sink float64
+	sink += o.CDF(3) + o.Quantile(0.99)
+	allocs := testing.AllocsPerRun(200, func() {
+		_ = o.Add(2.5)
+		sink += o.CDF(3) + o.CDF(7) + o.Quantile(0.99) + o.Quantile(0.5)
+	})
+	if allocs != 0 {
+		t.Fatalf("Add then CDF/Quantile allocated %v per run, want 0", allocs)
+	}
+	_ = sink
+}

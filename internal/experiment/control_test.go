@@ -159,11 +159,11 @@ func TestControlSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestControlSmokeGolden is the control-smoke CI gate: the full sweep's
-// rendered table must be byte-identical to the committed golden. Any
-// nondeterminism in the controller, the credit gate, the arrival curves,
-// or the cluster wiring shows up as a diff here. Regenerate with
-// -update-control-golden after intentional changes.
+// TestControlSmokeGolden is the control plane's determinism gate: the
+// full sweep's rendered table must be byte-identical to the committed
+// golden. Any nondeterminism in the controller, the credit gate, the
+// arrival curves, or the cluster wiring shows up as a diff here.
+// Regenerate with -update-control-golden after intentional changes.
 func TestControlSmokeGolden(t *testing.T) {
 	runs, err := ControlSweep(ControlConfig{Fidelity: controlTestFidelity})
 	if err != nil {

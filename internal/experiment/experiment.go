@@ -1,8 +1,7 @@
 // Package experiment reproduces the paper's evaluation: it provides the
 // scenario builder and maximum-load search shared by all case studies, and
 // one runner per table/figure (Table II/III, Figs. 3-7, plus the scale-up
-// and request-level extensions). cmd/tgsim prints the resulting tables;
-// bench_test.go wraps the same runners at reduced fidelity.
+// and request-level extensions). cmd/tgsim prints the resulting tables.
 package experiment
 
 import (

@@ -135,12 +135,12 @@ func TestFaultSweepHedgingMitigatesSlowdown(t *testing.T) {
 		pp, rp, resil.Result.HedgesIssued, resil.Result.HedgeWins)
 }
 
-// TestFaultSmokeGolden is the fault-smoke CI gate: a tiny seeded sweep
-// whose rendered tables (headline comparison + miss-cause breakdown) must
-// be byte-identical to the committed golden. Any nondeterminism in the
-// fault engine, the resilience paths, or the table rendering shows up as
-// a diff here. Regenerate with -update-fault-golden after intentional
-// changes.
+// TestFaultSmokeGolden is the fault engine's determinism gate: a tiny
+// seeded sweep whose rendered tables (headline comparison + miss-cause
+// breakdown) must be byte-identical to the committed golden. Any
+// nondeterminism in the fault engine, the resilience paths, or the table
+// rendering shows up as a diff here. Regenerate with -update-fault-golden
+// after intentional changes.
 func TestFaultSmokeGolden(t *testing.T) {
 	fid := Fidelity{Queries: 800, Warmup: 80, MinSamples: 5, LoadTol: 0.1, Seed: 1}
 	runs, err := FaultSweep(FaultConfig{Fidelity: fid})

@@ -50,12 +50,12 @@ func ShardScaleScenario(fid Fidelity, servers, shards int) (Scenario, error) {
 // once per requested shard count on the sharded parallel core, and gates
 // every sharded run on bit-identity with the sequential result
 // (cluster.Result.Equal — any divergence is an error, which is what
-// `make shard-smoke` relies on). servers <= 0 selects the stock
+// TestShardScaleEquivalenceGate relies on). servers <= 0 selects the stock
 // ShardScaleServers; an empty counts slice selects 2/4/8.
 //
 // wall supplies monotonic wall-clock seconds for the wall_s/tasks/s/
-// speedup columns; this package is virtual-time (simclock) so the caller
-// injects the measurement — cmd/tgsim passes a time.Since closure. A nil
+// speedup columns; this package is virtual-time (forbidcall's simclock
+// row) so the caller injects the measurement — cmd/tgsim passes a time.Since closure. A nil
 // wall omits the measurements ("-" cells), leaving a fully deterministic
 // table; the identical column is the gate either way.
 func ShardScale(fid Fidelity, servers int, counts []int, wall func() float64) (*Table, error) {

@@ -2,22 +2,21 @@ package experiment
 
 import "testing"
 
-// TestShardScaleEquivalenceGate runs the shard-scaling experiment at
-// smoke size: ShardScale itself errors out if any sharded run diverges
-// from the sequential engine, so a nil error here (and in `make
-// shard-smoke`, which runs the same path through cmd/tgsim) certifies
-// bit-identity. A deterministic fake clock stands in for the wall clock
-// this virtual-time package must not read itself.
+// TestShardScaleEquivalenceGate runs the shard-scaling experiment at 2, 4
+// and 8 shards: ShardScale itself errors out if any sharded run diverges
+// from the sequential engine, so a nil error here certifies bit-identity.
+// A deterministic fake clock stands in for the wall clock this
+// virtual-time package must not read itself.
 func TestShardScaleEquivalenceGate(t *testing.T) {
 	fid := Fidelity{Queries: 3000, Warmup: 200, MinSamples: 1, LoadTol: 0.02, Seed: 3}
 	var ticks float64
 	clock := func() float64 { ticks++; return ticks }
-	tab, err := ShardScale(fid, 128, []int{2, 4}, clock)
+	tab, err := ShardScale(fid, 128, []int{2, 4, 8}, clock)
 	if err != nil {
 		t.Fatalf("ShardScale: %v", err)
 	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("want 3 rows (sequential + 2 shard counts), got %d", len(tab.Rows))
+	if len(tab.Rows) != 4 {
+		t.Fatalf("want 4 rows (sequential + 3 shard counts), got %d", len(tab.Rows))
 	}
 	for i, row := range tab.Rows[1:] {
 		if got := row[len(row)-1]; got != "yes" {

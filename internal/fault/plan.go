@@ -5,8 +5,8 @@
 // compiles into O(log n) lookups driven entirely by the simulation clock
 // and a seeded counter stream. The package observes the same determinism
 // contract tglint enforces elsewhere: no wall clock, no global rand
-// (tools/tglint faultdet), so identical (seed, plan) pairs replay
-// bit-identical fault schedules.
+// (the faultdet row of tglint's forbidcall analyzer), so identical
+// (seed, plan) pairs replay bit-identical fault schedules.
 package fault
 
 import (

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -135,4 +136,57 @@ func traceNum(v float64) string {
 		return "null"
 	}
 	return strconv.FormatFloat(v, 'f', -1, 64)
+}
+
+// traceEvent is the subset of the Chrome trace_event schema that
+// ValidateChromeTrace checks.
+type traceEvent struct {
+	Name string   `json:"name"`
+	Ph   string   `json:"ph"`
+	Pid  *int     `json:"pid"`
+	Tid  *int     `json:"tid"`
+	Ts   *float64 `json:"ts"`
+	Dur  *float64 `json:"dur"`
+}
+
+// validTracePhases are the phases WriteChromeTrace emits.
+var validTracePhases = map[string]bool{"M": true, "i": true, "X": true, "C": true}
+
+// ValidateChromeTrace checks the envelope and per-event invariants of a
+// Chrome trace_event JSON document: millisecond display unit, at least
+// one event, and per event a name, a known phase, pid and tid, a
+// non-negative ts (metadata excepted) and, on complete slices, a
+// non-negative dur.
+func ValidateChromeTrace(r io.Reader) error {
+	var doc struct {
+		DisplayTimeUnit string       `json:"displayTimeUnit"`
+		TraceEvents     []traceEvent `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		return fmt.Errorf("not valid JSON: %w", err)
+	}
+	if doc.DisplayTimeUnit != "ms" {
+		return fmt.Errorf("displayTimeUnit = %q, want \"ms\"", doc.DisplayTimeUnit)
+	}
+	if len(doc.TraceEvents) == 0 {
+		return fmt.Errorf("no trace events")
+	}
+	for i, e := range doc.TraceEvents {
+		if e.Name == "" {
+			return fmt.Errorf("event %d: empty name", i)
+		}
+		if !validTracePhases[e.Ph] {
+			return fmt.Errorf("event %d (%s): unknown phase %q", i, e.Name, e.Ph)
+		}
+		if e.Pid == nil || e.Tid == nil {
+			return fmt.Errorf("event %d (%s): missing pid/tid", i, e.Name)
+		}
+		if e.Ph != "M" && (e.Ts == nil || *e.Ts < 0) {
+			return fmt.Errorf("event %d (%s): missing or negative ts", i, e.Name)
+		}
+		if e.Ph == "X" && (e.Dur == nil || *e.Dur < 0) {
+			return fmt.Errorf("event %d (%s): complete event without non-negative dur", i, e.Name)
+		}
+	}
+	return nil
 }

@@ -2,11 +2,11 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -81,29 +81,31 @@ func TestWriteChromeTraceValidJSON(t *testing.T) {
 	if err := WriteChromeTrace(&buf, traceFixture()); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
-	var doc struct {
-		DisplayTimeUnit string           `json:"displayTimeUnit"`
-		TraceEvents     []map[string]any `json:"traceEvents"`
+	if err := ValidateChromeTrace(&buf); err != nil {
+		t.Fatalf("export does not validate: %v", err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.String())
+}
+
+func TestValidateTrace(t *testing.T) {
+	good := `{"displayTimeUnit":"ms","traceEvents":[
+{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"queries"}},
+{"name":"arrival q1","ph":"i","pid":0,"tid":0,"ts":100,"s":"t"},
+{"name":"query q1","ph":"X","pid":0,"tid":0,"ts":100,"dur":50}
+]}`
+	if err := ValidateChromeTrace(strings.NewReader(good)); err != nil {
+		t.Errorf("good trace rejected: %v", err)
 	}
-	if doc.DisplayTimeUnit != "ms" {
-		t.Errorf("displayTimeUnit = %q, want ms", doc.DisplayTimeUnit)
+	bad := []struct{ name, doc string }{
+		{"not json", `{"traceEvents":`},
+		{"wrong unit", `{"displayTimeUnit":"ns","traceEvents":[{"name":"a","ph":"i","pid":0,"tid":0,"ts":1}]}`},
+		{"empty", `{"displayTimeUnit":"ms","traceEvents":[]}`},
+		{"bad phase", `{"displayTimeUnit":"ms","traceEvents":[{"name":"a","ph":"Z","pid":0,"tid":0,"ts":1}]}`},
+		{"missing ts", `{"displayTimeUnit":"ms","traceEvents":[{"name":"a","ph":"i","pid":0,"tid":0}]}`},
+		{"slice without dur", `{"displayTimeUnit":"ms","traceEvents":[{"name":"a","ph":"X","pid":0,"tid":0,"ts":1}]}`},
 	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("no trace events")
-	}
-	for i, ev := range doc.TraceEvents {
-		for _, key := range []string{"name", "ph", "pid", "tid"} {
-			if _, ok := ev[key]; !ok {
-				t.Errorf("event %d missing %q: %v", i, key, ev)
-			}
-		}
-		if ev["ph"] != "M" {
-			if _, ok := ev["ts"]; !ok {
-				t.Errorf("event %d missing ts: %v", i, ev)
-			}
+	for _, tc := range bad {
+		if err := ValidateChromeTrace(strings.NewReader(tc.doc)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }

@@ -24,7 +24,7 @@
 // Timestamps are supplied by the caller in the caller's clock domain: the
 // simulator passes virtual milliseconds from the event clock, the testbed
 // its compressed wall clock. This package never reads the wall clock
-// itself (enforced by the tglint obsclock analyzer).
+// itself (enforced by the obsclock row of tglint's forbidcall analyzer).
 package obs
 
 // Kind identifies one lifecycle event type.

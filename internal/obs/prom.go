@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"regexp"
 	"strconv"
+	"strings"
 )
 
 // Prometheus text exposition (format version 0.0.4) for the registry.
@@ -71,4 +73,69 @@ func promFloat(v float64) string {
 		return "NaN"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+var (
+	promHelpRe   = regexp.MustCompile(`^# HELP ([a-zA-Z_:][a-zA-Z0-9_:]*) .+$`)
+	promTypeRe   = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|summary|histogram|untyped)$`)
+	promSampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (\S+)$`)
+)
+
+// ValidateProm checks Prometheus text exposition (format 0.0.4): every
+// line is a HELP/TYPE comment or a sample, each family is TYPE-declared
+// once and before its first sample, every value parses as a float, and
+// there is at least one sample.
+func ValidateProm(r io.Reader) error {
+	typed := map[string]string{} // family -> kind
+	samples := 0
+	sc := bufio.NewScanner(r)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := sc.Text()
+		if text == "" {
+			continue
+		}
+		if strings.HasPrefix(text, "#") {
+			if promHelpRe.MatchString(text) {
+				continue
+			}
+			if m := promTypeRe.FindStringSubmatch(text); m != nil {
+				if _, dup := typed[m[1]]; dup {
+					return fmt.Errorf("line %d: duplicate TYPE for %s", line, m[1])
+				}
+				typed[m[1]] = m[2]
+				continue
+			}
+			return fmt.Errorf("line %d: malformed comment: %s", line, text)
+		}
+		m := promSampleRe.FindStringSubmatch(text)
+		if m == nil {
+			return fmt.Errorf("line %d: malformed sample: %s", line, text)
+		}
+		family := m[1]
+		for _, suffix := range []string{"_sum", "_count", "_bucket"} {
+			base := strings.TrimSuffix(family, suffix)
+			if base != family {
+				if k, ok := typed[base]; ok && (k == "summary" || k == "histogram") {
+					family = base
+				}
+				break
+			}
+		}
+		if _, ok := typed[family]; !ok {
+			return fmt.Errorf("line %d: sample %s precedes its TYPE declaration", line, m[1])
+		}
+		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
+			return fmt.Errorf("line %d: bad sample value %q", line, m[3])
+		}
+		samples++
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if samples == 0 {
+		return fmt.Errorf("no samples")
+	}
+	return nil
 }

@@ -74,35 +74,20 @@ func TestWritePrometheusShape(t *testing.T) {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := buf.String()
+	if err := ValidateProm(strings.NewReader(out)); err != nil {
+		t.Fatalf("exposition does not validate: %v\n%s", err, out)
+	}
 	var lastFamily string
-	seenType := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		if line == "" {
 			t.Fatalf("blank line in exposition:\n%s", out)
 		}
 		if strings.HasPrefix(line, "# TYPE ") {
-			parts := strings.Fields(line)
-			if len(parts) != 4 {
-				t.Fatalf("malformed TYPE line %q", line)
+			family := strings.Fields(line)[2]
+			if family < lastFamily {
+				t.Errorf("family %q out of order after %q", family, lastFamily)
 			}
-			if parts[2] < lastFamily {
-				t.Errorf("family %q out of order after %q", parts[2], lastFamily)
-			}
-			lastFamily = parts[2]
-			seenType[parts[2]] = true
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
-			continue
-		}
-		// Sample line: name{labels} value
-		name := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name = line[:i]
-		}
-		base := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
-		if !seenType[base] && !seenType[name] {
-			t.Errorf("sample %q has no preceding TYPE line", line)
+			lastFamily = family
 		}
 	}
 	for _, want := range []string{
@@ -114,6 +99,35 @@ func TestWritePrometheusShape(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestValidateProm(t *testing.T) {
+	good := `# HELP tg_tasks_total Tasks dispatched.
+# TYPE tg_tasks_total counter
+tg_tasks_total 40
+# TYPE tg_query_latency_ms summary
+tg_query_latency_ms{quantile="0.99"} 12.5
+tg_query_latency_ms_sum 100.25
+tg_query_latency_ms_count 8
+# TYPE tg_queue_depth gauge
+tg_queue_depth{node="0"} +Inf
+`
+	if err := ValidateProm(strings.NewReader(good)); err != nil {
+		t.Errorf("good exposition rejected: %v", err)
+	}
+	bad := []struct{ name, doc string }{
+		{"empty", ""},
+		{"untyped sample", "tg_tasks_total 40\n"},
+		{"bad value", "# TYPE a counter\na fortytwo\n"},
+		{"bad kind", "# TYPE a thing\na 1\n"},
+		{"duplicate type", "# TYPE a counter\n# TYPE a counter\na 1\n"},
+		{"malformed comment", "# NOPE a counter\na 1\n"},
+	}
+	for _, tc := range bad {
+		if err := ValidateProm(strings.NewReader(tc.doc)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }

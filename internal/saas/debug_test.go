@@ -1,7 +1,10 @@
 package saas
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -56,18 +59,18 @@ func TestHandlerMetricsAndDebugEndpoints(t *testing.T) {
 		}
 	}
 	h.Drain()
-	mux := h.DebugMux()
+	// Served over a real loopback listener, as a scraper sees it.
+	srv := httptest.NewServer(h.DebugMux())
+	defer srv.Close()
 
-	// /metrics: well-formed Prometheus exposition reflecting the run.
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/metrics status = %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain") {
+	// /metrics: valid Prometheus exposition reflecting the run.
+	ct, body := httpGet(t, srv.URL+"/metrics")
+	if !strings.Contains(ct, "text/plain") {
 		t.Errorf("/metrics content type = %q", ct)
 	}
-	body := rec.Body.String()
+	if err := obs.ValidateProm(bytes.NewReader(body)); err != nil {
+		t.Errorf("/metrics does not validate: %v\n%s", err, body)
+	}
 	for _, want := range []string{
 		"# TYPE tg_queries_total counter",
 		`tg_queries_total{class="0"} 20`,
@@ -77,20 +80,16 @@ func TestHandlerMetricsAndDebugEndpoints(t *testing.T) {
 		`tg_task_service_ms_count{cluster="server-room"} 40`,
 		"tg_task_wait_ms_count 40",
 	} {
-		if !strings.Contains(body, want) {
+		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
 
 	// /debug/queues: drained handler shows empty queues.
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/queues", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/queues status = %d", rec.Code)
-	}
+	_, body = httpGet(t, srv.URL+"/debug/queues")
 	var dbg QueuesDebug
-	if err := json.Unmarshal(rec.Body.Bytes(), &dbg); err != nil {
-		t.Fatalf("/debug/queues not JSON: %v\n%s", err, rec.Body.String())
+	if err := json.Unmarshal(body, &dbg); err != nil {
+		t.Fatalf("/debug/queues not JSON: %v\n%s", err, body)
 	}
 	if len(dbg.Queues) != 2 {
 		t.Fatalf("queues = %d, want 2", len(dbg.Queues))
@@ -127,4 +126,30 @@ func TestHandlerMetricsAndDebugEndpoints(t *testing.T) {
 			t.Errorf("%v events = %d, want %d", k, counts[k], c)
 		}
 	}
+	var trace bytes.Buffer
+	if err := obs.WriteChromeTrace(&trace, events); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	if err := obs.ValidateChromeTrace(&trace); err != nil {
+		t.Errorf("Chrome trace of the run does not validate: %v", err)
+	}
+}
+
+// httpGet fetches url and returns its Content-Type and body, failing the
+// test on any status other than 200.
+func httpGet(t *testing.T, url string) (string, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	return resp.Header.Get("Content-Type"), body
 }

@@ -128,7 +128,7 @@ func NewEngine() *Engine {
 // heap. It executes the exact same event sequence as NewEngine — (at,
 // seq) is a total order, so both queues admit only one pop order — and
 // exists as the reference implementation for the wheel-vs-heap property
-// tests and the perf-smoke equivalence gate.
+// tests and cluster's TestPerfSmokeWheelVsHeap equivalence gate.
 func NewHeapEngine() *Engine {
 	return &Engine{heapRef: true}
 }

@@ -19,8 +19,9 @@
 // total order: any event in an earlier tick pops first, ties within a
 // tick are ordered by the sort, and a total order admits only one pop
 // sequence — which is why wheel results are bit-identical to heap
-// results (gated by the perf-smoke cluster run, the golden shard matrix,
-// and the randomized wheel-vs-heap property and fuzz tests).
+// results (gated by cluster's TestPerfSmokeWheelVsHeap run, the golden
+// shard matrix, and the randomized wheel-vs-heap property and fuzz
+// tests).
 //
 // Events beyond the top level's aligned window (2^24 ticks ≈ 4.4
 // virtual minutes ahead) overflow into the retained binary heap and

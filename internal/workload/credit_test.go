@@ -11,7 +11,8 @@ import (
 // waitParked spins until at least n acquirers are parked on the gate's
 // wait channel. White-box (it reads g.waiters) so the blocking tests can
 // synchronize without wall-clock sleeps — the workload package is
-// virtual-time territory and the simclock lint covers its tests too.
+// virtual-time territory and forbidcall's simclock row covers its tests
+// too.
 func waitParked(g *CreditGate, n int) {
 	for {
 		g.mu.Lock()

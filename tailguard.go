@@ -31,8 +31,8 @@
 //   - Traces: record/replay (internal/trace).
 //   - Requests: multi-query request decomposition (internal/request).
 //
-// See the examples/ directory for runnable walkthroughs and DESIGN.md for
-// the full system inventory.
+// See example_test.go for walkthroughs that go test runs and checks, and
+// DESIGN.md for the full system inventory.
 package tailguard
 
 import (
