@@ -32,7 +32,8 @@ fmt:
 # behind a single GOMAXPROCS, or behind the test cache of another one.
 # The end-to-end checks of the binaries (tgsim -obs and -faults with
 # their trace and exposition validated, tgsim -exp flashcrowd -control,
-# tgd -smoke, the sharded-core equivalence gate) are tests in this run.
+# tgd's daemon/worker/producer round trip, the sharded-core equivalence
+# gate) are tests in this run.
 test:
 	$(GO) test -cpu 1,2,4 ./...
 

@@ -4,13 +4,14 @@
 //	tgd -addr :7070 -journal tgd.wal          # the scheduler daemon
 //	tgd -work -daemon http://localhost:7070   # a worker (task server) pool
 //	tgd -enqueue 100 -daemon http://localhost:7070 -fanout 4
-//	tgd -smoke                                # in-process end-to-end proof
 //
 // The daemon serves until interrupted. Producers POST deadline-stamped
 // queries (or let the daemon's TF-EDFQ estimator stamp them: -workload
 // xapian -slo-ms 50); workers claim by earliest deadline via long-poll
 // leases and complete or NACK; the repair loop requeues leases whose
-// holders die. With -journal, a restarted daemon recovers its queue.
+// holders die. With -journal, a restarted daemon recovers its queue;
+// internal/tgd's durability and repair tests prove that no task is lost
+// or counted twice across worker crashes and daemon restarts.
 package main
 
 import (
@@ -71,8 +72,6 @@ type runConfig struct {
 	fanout  int
 	class   int
 	seed    int64
-
-	smoke bool
 }
 
 // run dispatches the selected mode. ready, when non-nil, receives the
@@ -104,14 +103,11 @@ func run(args []string, out *os.File, ready chan<- string) error {
 	fs.IntVar(&cfg.enqueue, "enqueue", 0, "enqueue this many queries and exit")
 	fs.IntVar(&cfg.fanout, "fanout", 1, "tasks per enqueued query")
 	fs.IntVar(&cfg.class, "class", 0, "service class of enqueued queries")
-	fs.Int64Var(&cfg.seed, "seed", 1, "RNG seed (smoke and producer jitter)")
-	fs.BoolVar(&cfg.smoke, "smoke", false, "run the in-process end-to-end smoke proof and exit")
+	fs.Int64Var(&cfg.seed, "seed", 1, "RNG seed (producer jitter)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	switch {
-	case cfg.smoke:
-		return runSmoke(cfg, out)
 	case cfg.work:
 		return runWorkers(cfg, out)
 	case cfg.enqueue > 0:

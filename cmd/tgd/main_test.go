@@ -46,15 +46,6 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
-func TestRunSmoke(t *testing.T) {
-	out := capture(t, func(f *os.File) error {
-		return run([]string{"-smoke", "-seed", "7"}, f, nil)
-	})
-	if !strings.Contains(out, "tgd-smoke: PASS") {
-		t.Fatalf("smoke output missing PASS:\n%s", out)
-	}
-}
-
 // TestDaemonWorkerProducerRoundTrip boots the daemon mode over a real
 // socket, drives the producer and worker modes against it, and shuts it
 // down with the signal it would receive in production.

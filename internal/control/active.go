@@ -71,18 +71,6 @@ func (a *ActiveSet) Provisioned() int { return a.active + a.warming }
 // State returns slot i's lifecycle state.
 func (a *ActiveSet) State(i int) ServerState { return a.state[i] }
 
-// WarmFrac returns slot i's warm fraction (1 when on, 0 when off).
-func (a *ActiveSet) WarmFrac(i int) float64 {
-	switch a.state[i] {
-	case On:
-		return 1
-	case Warming:
-		return a.warm[i]
-	default:
-		return 0
-	}
-}
-
 // StartWarm turns the lowest off slot into a warming one (immediately on
 // when the warm-up ramp is zero) and returns its index, or -1 when every
 // slot is already taking load.

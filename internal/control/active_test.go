@@ -27,19 +27,16 @@ func TestActiveSetLifecycle(t *testing.T) {
 	if got := a.StartWarm(); got != 3 {
 		t.Fatalf("StartWarm = %d, want 3", got)
 	}
-	if a.State(3) != Warming || a.WarmFrac(3) != 0 {
-		t.Fatalf("slot 3 not warming from 0: state %v frac %v", a.State(3), a.WarmFrac(3))
+	if a.State(3) != Warming || a.WarmingCount() != 1 {
+		t.Fatalf("slot 3 not warming: state %v warming %d", a.State(3), a.WarmingCount())
 	}
 	a.AdvanceWarm(50)
-	if a.WarmFrac(3) != 0.5 {
-		t.Fatalf("WarmFrac after half ramp = %v", a.WarmFrac(3))
+	if a.State(3) != Warming || a.ActiveCount() != 3 {
+		t.Fatalf("slot 3 promoted after half ramp: state %v active %d", a.State(3), a.ActiveCount())
 	}
 	a.AdvanceWarm(50)
 	if a.State(3) != On || a.ActiveCount() != 4 || a.WarmingCount() != 0 {
 		t.Fatal("slot 3 not promoted at full warmth")
-	}
-	if a.WarmFrac(3) != 1 {
-		t.Fatalf("WarmFrac when on = %v, want 1", a.WarmFrac(3))
 	}
 
 	// Zero warm-up activates instantly.

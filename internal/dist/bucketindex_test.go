@@ -56,16 +56,23 @@ func refECDFCDF(e *ECDF, t float64) float64 {
 func testTables(t *testing.T) []*QuantileTable {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
+	table := func(bps []Breakpoint) *QuantileTable {
+		q, err := NewQuantileTable(bps)
+		if err != nil {
+			t.Fatalf("NewQuantileTable: %v", err)
+		}
+		return q
+	}
 	tables := []*QuantileTable{
 		// Minimal two-point table.
-		MustQuantileTable([]Breakpoint{{P: 0, T: 1}, {P: 1, T: 5}}),
+		table([]Breakpoint{{P: 0, T: 1}, {P: 1, T: 5}}),
 		// Flat segments (repeated T) exercise the degenerate-segment branch.
-		MustQuantileTable([]Breakpoint{
+		table([]Breakpoint{
 			{P: 0, T: 0}, {P: 0.2, T: 2}, {P: 0.5, T: 2}, {P: 0.9, T: 2}, {P: 1, T: 10},
 		}),
 		// Entirely constant T: the T-axis bucket index is degenerate and
 		// must fall back to a plain walk.
-		MustQuantileTable([]Breakpoint{{P: 0, T: 3}, {P: 0.4, T: 3}, {P: 1, T: 3}}),
+		table([]Breakpoint{{P: 0, T: 3}, {P: 0.4, T: 3}, {P: 1, T: 3}}),
 	}
 	// A large random table with clustered breakpoints.
 	bps := []Breakpoint{{P: 0, T: 0}}
@@ -81,7 +88,7 @@ func testTables(t *testing.T) []*QuantileTable {
 		bps = append(bps, Breakpoint{P: p, T: v})
 	}
 	bps = append(bps, Breakpoint{P: 1, T: v + 1})
-	tables = append(tables, MustQuantileTable(bps))
+	tables = append(tables, table(bps))
 	return tables
 }
 

@@ -19,8 +19,3 @@ func NearlyEqual(a, b, eps float64) bool {
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return math.Abs(a-b) <= eps*scale
 }
-
-// DefaultEps is a practical tolerance for latency math in milliseconds:
-// far below any physically meaningful latency difference, far above
-// accumulated float64 rounding error.
-const DefaultEps = 1e-9

@@ -50,7 +50,6 @@ func TestP2QuantileSmallCounts(t *testing.T) {
 // quantiles on distributions of very different shape.
 func TestP2QuantileAccuracy(t *testing.T) {
 	exp, _ := NewExponential(1)
-	ln, _ := NewLogNormal(0, 1)
 	u, _ := NewUniform(2, 9)
 	cases := []struct {
 		name string
@@ -58,7 +57,7 @@ func TestP2QuantileAccuracy(t *testing.T) {
 		tol  float64
 	}{
 		{"exponential", exp, 0.05},
-		{"lognormal", ln, 0.10},
+		{"xapian", MustTailbenchWorkload("xapian").ServiceTime, 0.10},
 		{"uniform", u, 0.02},
 	}
 	for _, tc := range cases {

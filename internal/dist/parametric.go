@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Deterministic is a point mass at V.
@@ -98,101 +97,6 @@ func (e Exponential) Mean() float64 { return e.M }
 // Sample implements Distribution.
 func (e Exponential) Sample(r *rand.Rand) float64 { return e.M * r.ExpFloat64() }
 
-// LogNormal is the log-normal distribution: ln X ~ N(Mu, Sigma^2).
-// Log-normals are the standard model for service-time bodies in
-// latency-critical systems.
-type LogNormal struct {
-	Mu    float64
-	Sigma float64
-}
-
-// NewLogNormal validates sigma and returns a LogNormal distribution.
-func NewLogNormal(mu, sigma float64) (LogNormal, error) {
-	if sigma <= 0 {
-		return LogNormal{}, fmt.Errorf("dist: lognormal sigma must be positive, got %v", sigma)
-	}
-	return LogNormal{Mu: mu, Sigma: sigma}, nil
-}
-
-// CDF implements Distribution.
-func (l LogNormal) CDF(t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return 0.5 * math.Erfc(-(math.Log(t)-l.Mu)/(l.Sigma*math.Sqrt2))
-}
-
-// Quantile implements Distribution.
-func (l LogNormal) Quantile(p float64) float64 {
-	p = clampProb(p)
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return math.Exp(l.Mu + l.Sigma*math.Sqrt2*erfcInv(2*(1-p)))
-}
-
-// Mean implements Distribution.
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Sample implements Distribution.
-func (l LogNormal) Sample(r *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
-}
-
-// BoundedPareto is a Pareto distribution with shape Alpha and scale Xm,
-// truncated at Cap to keep simulated tails finite. Pareto inter-arrival
-// gaps model the bursty arrival process of Section IV.B; bounded Pareto
-// service times model heavy-tailed task outliers.
-type BoundedPareto struct {
-	Xm    float64 // scale (minimum value), > 0
-	Alpha float64 // shape, > 0
-	Cap   float64 // upper truncation point, > Xm
-}
-
-// NewBoundedPareto validates the parameters and returns a BoundedPareto.
-func NewBoundedPareto(xm, alpha, cap float64) (BoundedPareto, error) {
-	if xm <= 0 || alpha <= 0 || cap <= xm {
-		return BoundedPareto{}, fmt.Errorf("dist: invalid bounded pareto (xm=%v alpha=%v cap=%v)", xm, alpha, cap)
-	}
-	return BoundedPareto{Xm: xm, Alpha: alpha, Cap: cap}, nil
-}
-
-// CDF implements Distribution.
-func (b BoundedPareto) CDF(t float64) float64 {
-	switch {
-	case t <= b.Xm:
-		return 0
-	case t >= b.Cap:
-		return 1
-	}
-	num := 1 - math.Pow(b.Xm/t, b.Alpha)
-	den := 1 - math.Pow(b.Xm/b.Cap, b.Alpha)
-	return num / den
-}
-
-// Quantile implements Distribution.
-func (b BoundedPareto) Quantile(p float64) float64 {
-	p = clampProb(p)
-	den := 1 - math.Pow(b.Xm/b.Cap, b.Alpha)
-	return b.Xm * math.Pow(1-p*den, -1/b.Alpha)
-}
-
-// Mean implements Distribution.
-func (b BoundedPareto) Mean() float64 {
-	den := 1 - math.Pow(b.Xm/b.Cap, b.Alpha)
-	if b.Alpha == 1 {
-		return b.Xm * math.Log(b.Cap/b.Xm) / den
-	}
-	a := b.Alpha
-	return a * b.Xm / (a - 1) * (1 - math.Pow(b.Xm/b.Cap, a-1)) / den
-}
-
-// Sample implements Distribution.
-func (b BoundedPareto) Sample(r *rand.Rand) float64 { return b.Quantile(r.Float64()) }
-
 // Shifted adds a constant offset to another distribution, modelling fixed
 // overheads such as dispatch or network round-trip floors.
 type Shifted struct {
@@ -239,99 +143,6 @@ func (s Scaled) Mean() float64 { return s.D.Mean() * s.Factor }
 // Sample implements Distribution.
 func (s Scaled) Sample(r *rand.Rand) float64 { return s.D.Sample(r) * s.Factor }
 
-// Mixture is a finite mixture of component distributions with the given
-// weights. Mixtures model bimodal service times such as Shore's
-// cache-hit/SSD-miss split.
-type Mixture struct {
-	components []Distribution
-	weights    []float64 // normalized, same length as components
-	cum        []float64 // cumulative weights for sampling
-}
-
-// NewMixture builds a mixture from parallel component and weight slices.
-// Weights must be non-negative with a positive sum; they are normalized.
-func NewMixture(components []Distribution, weights []float64) (*Mixture, error) {
-	if len(components) == 0 {
-		return nil, fmt.Errorf("dist: mixture needs at least one component")
-	}
-	if len(components) != len(weights) {
-		return nil, fmt.Errorf("dist: mixture has %d components but %d weights", len(components), len(weights))
-	}
-	var sum float64
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("dist: mixture weight %d is %v", i, w)
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("dist: mixture weights sum to %v", sum)
-	}
-	m := &Mixture{
-		components: append([]Distribution(nil), components...),
-		weights:    make([]float64, len(weights)),
-		cum:        make([]float64, len(weights)),
-	}
-	var c float64
-	for i, w := range weights {
-		m.weights[i] = w / sum
-		c += w / sum
-		m.cum[i] = c
-	}
-	m.cum[len(m.cum)-1] = 1 // guard against rounding
-	return m, nil
-}
-
-// CDF implements Distribution.
-func (m *Mixture) CDF(t float64) float64 {
-	var s float64
-	for i, d := range m.components {
-		s += m.weights[i] * d.CDF(t)
-	}
-	return s
-}
-
-// Quantile implements Distribution. Mixtures have no closed-form quantile;
-// it is computed by bisection over the CDF.
-func (m *Mixture) Quantile(p float64) float64 {
-	p = clampProb(p)
-	return invertCDF(m.CDF, p, quantileHint(m.components, p))
-}
-
-// Mean implements Distribution.
-func (m *Mixture) Mean() float64 {
-	var s float64
-	for i, d := range m.components {
-		s += m.weights[i] * d.Mean()
-	}
-	return s
-}
-
-// Sample implements Distribution.
-func (m *Mixture) Sample(r *rand.Rand) float64 {
-	u := r.Float64()
-	i := sort.SearchFloat64s(m.cum, u)
-	if i >= len(m.components) {
-		i = len(m.components) - 1
-	}
-	return m.components[i].Sample(r)
-}
-
-// quantileHint returns an upper bound for the p-quantile of a mixture or
-// product of the given components, used to bracket bisection.
-func quantileHint(components []Distribution, p float64) float64 {
-	hi := 1e-9
-	for _, d := range components {
-		// The mixture p-quantile is at most the largest component
-		// (1 - (1-p)/n)-quantile; use a slightly generous probe.
-		q := d.Quantile(math.Min(1, p+0.5*(1-p)))
-		if !math.IsInf(q, 1) && q > hi {
-			hi = q
-		}
-	}
-	return hi
-}
-
 // invertCDF finds the smallest t with cdf(t) >= p by expanding the bracket
 // from hint and bisecting. cdf must be non-decreasing.
 func invertCDF(cdf func(float64) float64, p float64, hint float64) float64 {
@@ -355,36 +166,4 @@ func invertCDF(cdf func(float64) float64, p float64, hint float64) float64 {
 		}
 	}
 	return hi
-}
-
-// erfcInv returns the inverse of math.Erfc on (0, 2), via Newton refinement
-// of a rational initial estimate. Accuracy is ~1e-12 over the probabilities
-// used in tail math, which is far tighter than the statistical noise of any
-// experiment in this repository.
-func erfcInv(x float64) float64 {
-	if x <= 0 {
-		return math.Inf(1)
-	}
-	if x >= 2 {
-		return math.Inf(-1)
-	}
-	// Initial estimate from the inverse of the normal CDF
-	// (Beasley-Springer-Moro style), then polish with Newton on Erfc.
-	sign := 1.0
-	if x > 1 {
-		sign = -1
-		x = 2 - x
-	}
-	t := math.Sqrt(-2 * math.Log(x/2))
-	z := t - (2.30753+0.27061*t)/(1+0.99229*t+0.04481*t*t)
-	z /= math.Sqrt2
-	for i := 0; i < 4; i++ {
-		e := math.Erfc(z) - x
-		d := -2 / math.SqrtPi * math.Exp(-z*z)
-		if d == 0 {
-			break
-		}
-		z -= e / d
-	}
-	return sign * z
 }

@@ -112,16 +112,6 @@ func NewQuantileTable(bps []Breakpoint) (*QuantileTable, error) {
 	return q, nil
 }
 
-// MustQuantileTable is NewQuantileTable for statically known tables; it
-// panics on invalid input.
-func MustQuantileTable(bps []Breakpoint) *QuantileTable {
-	q, err := NewQuantileTable(bps)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 // integrate computes E[X] = ∫₀¹ Q(u) du exactly (trapezoid per segment,
 // which is exact for a piecewise-linear Q).
 func (q *QuantileTable) integrate() float64 {

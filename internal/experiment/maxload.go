@@ -370,26 +370,6 @@ func lockstep(share func() int, bounds MaxLoadBounds, tols []float64, rows []int
 	return loads, -1, nil
 }
 
-// SpeculativeMaxLoad is MaxLoad with speculative parallel probing: the
-// one-row case of the lockstep search (see bisect). Each round expands
-// the next levels of the bisection tree (both outcomes of every pending
-// midpoint), probes all of them concurrently on the pool, then resolves
-// the bracket by walking the tree exactly as the sequential search
-// would. Wall-clock shrinks from one probe per bisection step to one
-// round per `depth` steps; the returned load (and any returned error) is
-// identical to MaxLoad's because probes are pure functions of the load
-// and the resolved path replays the sequential probe sequence.
-func SpeculativeMaxLoad(pool *parallel.Pool, bounds MaxLoadBounds, tol float64, probe func(load float64) (bool, error)) (float64, error) {
-	loads, _, err := bisect(pool, bounds, []float64{tol}, []int{0}, func(_ int, load float64, _ []int) ([]bool, error) {
-		ok, err := probe(load)
-		return []bool{ok}, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return loads[0], nil
-}
-
 // ScenarioMaxLoad runs the max-load search over copies of the scenario
 // with varying load, using the scenario's class SLOs for compliance: the
 // one-row case of searchMaxLoads, on the fidelity's worker pool. The

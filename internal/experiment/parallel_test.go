@@ -139,9 +139,23 @@ func TestReplicatedScenarioMaxLoadParallelGolden(t *testing.T) {
 	}
 }
 
-// TestSpeculativeMaxLoadMatchesSequential checks that speculative bisection
-// returns the exact float MaxLoad returns, for any pure probe, across pool
-// widths, boundaries, and tolerances.
+// speculativeMaxLoad is the one-row case of the lockstep search: bisect
+// with a single group, its probe answering for that one row.
+func speculativeMaxLoad(pool *parallel.Pool, bounds MaxLoadBounds, tol float64, probe func(load float64) (bool, error)) (float64, error) {
+	loads, _, err := bisect(pool, bounds, []float64{tol}, []int{0}, func(_ int, load float64, _ []int) ([]bool, error) {
+		ok, err := probe(load)
+		return []bool{ok}, err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return loads[0], nil
+}
+
+// TestSpeculativeMaxLoadMatchesSequential checks that the lockstep search
+// (bisect), speculating on idle workers, returns the exact float MaxLoad
+// returns, for any pure probe, across pool widths, boundaries, and
+// tolerances.
 func TestSpeculativeMaxLoadMatchesSequential(t *testing.T) {
 	bounds := MaxLoadBounds{Lo: 0.05, Hi: 0.95}
 	for _, boundary := range []float64{0.04, 0.13, 0.42, 0.77, 0.96} {
@@ -152,9 +166,9 @@ func TestSpeculativeMaxLoadMatchesSequential(t *testing.T) {
 				t.Fatalf("MaxLoad(boundary=%v tol=%v): %v", boundary, tol, err)
 			}
 			for _, workers := range []int{1, 2, 3, 4, 8, 16} {
-				got, err := SpeculativeMaxLoad(parallel.NewPool(workers), bounds, tol, probe)
+				got, err := speculativeMaxLoad(parallel.NewPool(workers), bounds, tol, probe)
 				if err != nil {
-					t.Fatalf("SpeculativeMaxLoad(workers=%d): %v", workers, err)
+					t.Fatalf("speculativeMaxLoad(workers=%d): %v", workers, err)
 				}
 				if got != want {
 					t.Errorf("boundary=%v tol=%v workers=%d: speculative=%v sequential=%v",
@@ -176,15 +190,15 @@ func TestSpeculativeMaxLoadPropagatesErrors(t *testing.T) {
 	// The error sits on the resolved bisection path, so it must surface
 	// no matter how many probes ran speculatively.
 	for _, workers := range []int{1, 4, 8} {
-		_, err := SpeculativeMaxLoad(parallel.NewPool(workers), MaxLoadBounds{Lo: 0.05, Hi: 0.95}, 0.01, probe)
+		_, err := speculativeMaxLoad(parallel.NewPool(workers), MaxLoadBounds{Lo: 0.05, Hi: 0.95}, 0.01, probe)
 		if !errors.Is(err, wantErr) {
 			t.Errorf("workers=%d: err = %v, want %v", workers, err, wantErr)
 		}
 	}
-	if _, err := SpeculativeMaxLoad(parallel.NewPool(8), MaxLoadBounds{Lo: 0.9, Hi: 0.1}, 0.01, probe); err == nil {
+	if _, err := speculativeMaxLoad(parallel.NewPool(8), MaxLoadBounds{Lo: 0.9, Hi: 0.1}, 0.01, probe); err == nil {
 		t.Error("inverted bounds succeeded, want error")
 	}
-	if _, err := SpeculativeMaxLoad(parallel.NewPool(8), MaxLoadBounds{Lo: 0.05, Hi: 0.95}, 0, probe); err == nil {
+	if _, err := speculativeMaxLoad(parallel.NewPool(8), MaxLoadBounds{Lo: 0.05, Hi: 0.95}, 0, probe); err == nil {
 		t.Error("zero tolerance succeeded, want error")
 	}
 }

@@ -116,14 +116,6 @@ func MustEngine(plan *Plan, servers int) *Engine {
 	return e
 }
 
-// Seed returns the plan seed, or 0 for a nil engine.
-func (e *Engine) Seed() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.seed
-}
-
 // Servers returns the cluster size the engine was compiled for.
 func (e *Engine) Servers() int {
 	if e == nil {

@@ -118,11 +118,3 @@ func IntKeys[K ~int](b *Breakdown[K]) []K {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
 }
-
-// StringKeys returns the observed keys of a string-keyed breakdown in
-// ascending order.
-func StringKeys[K ~string](b *Breakdown[K]) []K {
-	keys := append([]K(nil), b.keys...)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}

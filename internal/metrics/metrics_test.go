@@ -336,72 +336,3 @@ func TestBreakdownResetReturnsEachKeyItsRecorder(t *testing.T) {
 		}
 	}
 }
-
-func TestBreakdownStringKeys(t *testing.T) {
-	b := NewBreakdown[string](0)
-	_ = b.Observe("xapian", 1)
-	_ = b.Observe("masstree", 2)
-	keys := StringKeys(b)
-	if len(keys) != 2 || keys[0] != "masstree" || keys[1] != "xapian" {
-		t.Errorf("StringKeys = %v, want [masstree xapian]", keys)
-	}
-}
-
-func TestBusyMeter(t *testing.T) {
-	b, err := NewBusyMeter(2, 100)
-	if err != nil {
-		t.Fatalf("NewBusyMeter: %v", err)
-	}
-	if err := b.AddBusy(0, 30); err != nil {
-		t.Fatalf("AddBusy: %v", err)
-	}
-	if err := b.AddBusy(1, 10); err != nil {
-		t.Fatalf("AddBusy: %v", err)
-	}
-	b.Advance(150)
-	// 40 busy over 2 servers * 50 elapsed = 0.4.
-	if got := b.Utilization(); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("Utilization() = %v, want 0.4", got)
-	}
-	per := b.PerServer()
-	if math.Abs(per[0]-0.6) > 1e-12 || math.Abs(per[1]-0.2) > 1e-12 {
-		t.Errorf("PerServer() = %v, want [0.6 0.2]", per)
-	}
-	// Advance is monotone: moving backwards is a no-op.
-	b.Advance(120)
-	if got := b.Utilization(); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("Utilization() after backward Advance = %v, want 0.4", got)
-	}
-}
-
-func TestBusyMeterInvalid(t *testing.T) {
-	if _, err := NewBusyMeter(0, 0); err == nil {
-		t.Error("NewBusyMeter(0) succeeded, want error")
-	}
-	b, _ := NewBusyMeter(1, 0)
-	if err := b.AddBusy(5, 1); err == nil {
-		t.Error("AddBusy out of range succeeded, want error")
-	}
-	if err := b.AddBusy(0, -1); err == nil {
-		t.Error("AddBusy negative succeeded, want error")
-	}
-	if got := b.Utilization(); got != 0 {
-		t.Errorf("Utilization with zero elapsed = %v, want 0", got)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter(10)
-	if got := c.Rate(10); got != 0 {
-		t.Errorf("Rate at start = %v, want 0", got)
-	}
-	for i := 0; i < 20; i++ {
-		c.Inc()
-	}
-	if got := c.Count(); got != 20 {
-		t.Errorf("Count() = %d, want 20", got)
-	}
-	if got := c.Rate(20); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Rate(20) = %v, want 2", got)
-	}
-}

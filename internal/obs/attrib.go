@@ -297,16 +297,6 @@ func (h *SlackHist) Quantile(p float64) float64 {
 	return hi
 }
 
-// Buckets calls fn for every non-empty bucket in ascending slack order.
-func (h *SlackHist) Buckets(fn func(loMs, hiMs float64, count int)) {
-	for i, n := range h.counts {
-		if n > 0 {
-			lo, hi := slackEdges(i)
-			fn(lo, hi, n)
-		}
-	}
-}
-
 // String renders a compact one-line summary for logs.
 func (h *SlackHist) String() string {
 	return fmt.Sprintf("slack{n=%d, p1=%.1fms, p50=%.1fms, neg=%d}",

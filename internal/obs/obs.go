@@ -157,16 +157,6 @@ func NewTracer(cfg TracerConfig) *Tracer {
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// SampledQuery reports whether events for the given query ID pass the
-// sampling filter. Callers may use it to skip assembling per-task state
-// for unsampled queries.
-func (t *Tracer) SampledQuery(id int64) bool {
-	if t == nil {
-		return false
-	}
-	return t.every == 1 || (id >= 0 && id%t.every == 0)
-}
-
 // Emit records one event, applying the query sampling filter. Safe on a
 // nil tracer (no-op).
 func (t *Tracer) Emit(e Event) {

@@ -1,9 +1,9 @@
 // Package parallel runs independent deterministic jobs on a bounded
 // worker pool with index-ordered result collection. It exists so the
 // experiment harness can use every core without giving up the repo's
-// determinism contract (DESIGN.md §7-§8): Map and Sweep return exactly
-// what the equivalent sequential loop returns — same values, same error
-// — regardless of worker count, so parallel and sequential sweeps are
+// determinism contract (DESIGN.md §7-§8): Map returns exactly what the
+// equivalent sequential loop returns — same values, same error —
+// regardless of worker count, so parallel and sequential sweeps are
 // bit-identical.
 //
 // The contract requires jobs to be pure with respect to each other: a
@@ -148,12 +148,6 @@ func Map[T any](p *Pool, n int, job func(int) (T, error)) ([]T, error) {
 		return nil, errs[m]
 	}
 	return out, nil
-}
-
-// Sweep runs pre-bound jobs in index order on the pool: Sweep(p, jobs)
-// returns exactly what running each job sequentially would.
-func Sweep[T any](p *Pool, jobs []func() (T, error)) ([]T, error) {
-	return Map(p, len(jobs), func(i int) (T, error) { return jobs[i]() })
 }
 
 // SplitMix64 is the finalizer of Steele et al.'s SplitMix64 generator:

@@ -98,22 +98,6 @@ func TestMapMatchesSequentialRandomized(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	jobs := make([]func() (string, error), 5)
-	for i := range jobs {
-		i := i
-		jobs[i] = func() (string, error) { return fmt.Sprintf("job-%d", i), nil }
-	}
-	got, err := Sweep(NewPool(3), jobs)
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	want := []string{"job-0", "job-1", "job-2", "job-3", "job-4"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Sweep = %v, want %v", got, want)
-	}
-}
-
 func TestPoolWorkersResolution(t *testing.T) {
 	if w := NewPool(0).Workers(); w != runtime.GOMAXPROCS(0) {
 		t.Errorf("NewPool(0).Workers() = %d, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))

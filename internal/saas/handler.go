@@ -144,7 +144,7 @@ type Handler struct {
 	tasks    int                             // guarded by mu
 	rejected int                             // guarded by mu
 	errs     []error                         // guarded by mu
-	pending  sync.WaitGroup
+	pending  sync.WaitGroup                  // one count per unserved task (see serveLoop)
 }
 
 type saasQueryState struct {
@@ -284,14 +284,13 @@ func (h *Handler) Submit(q Query) error {
 		return fmt.Errorf("saas: deadline for query %d: %w", q.ID, err)
 	}
 	h.obs.Query(obs.KindDeadline, now, q.ID, int32(q.Class), deadline)
-	h.pending.Add(1)
 
 	h.mu.Lock()
 	if _, dup := h.states[q.ID]; dup {
 		h.mu.Unlock()
-		h.pending.Done()
 		return fmt.Errorf("saas: duplicate query ID %d", q.ID)
 	}
+	h.pending.Add(len(q.Nodes))
 	h.states[q.ID] = &saasQueryState{
 		arrivalMs: now,
 		remaining: len(q.Nodes),
@@ -322,7 +321,9 @@ func (h *Handler) Submit(q Query) error {
 	return nil
 }
 
-// serveLoop serves tasks on one node until its queue drains.
+// serveLoop serves tasks on one node until its queue drains. A task
+// leaves pending only once the loop has taken the node's next task or
+// marked the node idle, so Drain never returns with a node still busy.
 func (h *Handler) serveLoop(node int, t *policy.Task) {
 	for t != nil {
 		h.serveOne(node, t)
@@ -332,6 +333,7 @@ func (h *Handler) serveLoop(node int, t *policy.Task) {
 			h.busy[node] = false
 		}
 		h.mu.Unlock()
+		h.pending.Done()
 		t = next
 	}
 }
@@ -495,11 +497,11 @@ func (h *Handler) completeTask(node int, t *policy.Task, receipt, dequeue float6
 			h.met.queries[class].Inc()
 			_ = h.met.latency[class].Observe(latency)
 		}
-		h.pending.Done()
 	}
 }
 
-// Drain blocks until every submitted query has completed.
+// Drain blocks until every submitted query has completed and every node
+// is idle: a /debug/queues read after Drain sees no node busy or queued.
 func (h *Handler) Drain() { h.pending.Wait() }
 
 // Stats is the handler's measured output, in compressed milliseconds.

@@ -77,7 +77,3 @@ func newSaasMetrics(reg *obs.Registry, classes *workload.ClassSet, nodes []NodeR
 	}
 	return m, nil
 }
-
-// Metrics returns the handler's metrics registry, e.g. to expose on an
-// operator port. DebugMux is the batteries-included variant.
-func (h *Handler) Metrics() *obs.Registry { return h.reg }

@@ -125,10 +125,10 @@ func (g *QueryGen) Next() (Query, error) {
 	return q, nil
 }
 
-// ExpectedServerRoomTasksPerQuery returns the mean number of tasks a query
+// expectedServerRoomTasksPerQuery returns the mean number of tasks a query
 // places on the Server-room cluster under the paper's mix:
 // 0.5*0.8 (class A) + 0.4*1 (class B) + 0.1*8 (class C) = 1.6.
-func ExpectedServerRoomTasksPerQuery() float64 {
+func expectedServerRoomTasksPerQuery() float64 {
 	return paperClassWeights[ClassA]*serverRoomBias +
 		paperClassWeights[ClassB]*1 +
 		paperClassWeights[ClassC]*NodesPerCluster
@@ -144,7 +144,7 @@ func RateForServerRoomLoad(load, meanServerRoomTaskMs float64) (float64, error) 
 	if meanServerRoomTaskMs <= 0 {
 		return 0, fmt.Errorf("saas: mean task time must be positive, got %v", meanServerRoomTaskMs)
 	}
-	return load * NodesPerCluster / (ExpectedServerRoomTasksPerQuery() * meanServerRoomTaskMs), nil
+	return load * NodesPerCluster / (expectedServerRoomTasksPerQuery() * meanServerRoomTaskMs), nil
 }
 
 // ArrivalSchedule precomputes Poisson arrival offsets (compressed ms from

@@ -107,8 +107,8 @@ func TestQueryGenClassMixAndPlacement(t *testing.T) {
 }
 
 func TestExpectedServerRoomTasks(t *testing.T) {
-	if got := ExpectedServerRoomTasksPerQuery(); math.Abs(got-1.6) > 1e-12 {
-		t.Errorf("ExpectedServerRoomTasksPerQuery = %v, want 1.6", got)
+	if got := expectedServerRoomTasksPerQuery(); math.Abs(got-1.6) > 1e-12 {
+		t.Errorf("expectedServerRoomTasksPerQuery = %v, want 1.6", got)
 	}
 }
 

@@ -21,8 +21,8 @@ func TestRunBeforeStopsStrictlyBeforeLimit(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("clock at %v after RunBefore(3.5), want 3 (not advanced to the limit)", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", e.Pending())
+	if n := pending(e); n != 2 {
+		t.Errorf("pending = %d, want 2", n)
 	}
 	// Deliveries for the next window (>= limit) must be schedulable.
 	if err := e.Schedule(3.5, func() { fired = append(fired, 3.5) }); err != nil {
@@ -112,7 +112,7 @@ func TestShardSetReset(t *testing.T) {
 	}
 	s.Reset()
 	for i := 0; i < s.Len(); i++ {
-		if s.Engine(i).Now() != 0 || s.Engine(i).Pending() != 0 {
+		if s.Engine(i).Now() != 0 || pending(s.Engine(i)) != 0 {
 			t.Fatalf("shard %d not reset", i)
 		}
 	}

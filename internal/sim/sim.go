@@ -136,14 +136,6 @@ func NewHeapEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int {
-	if e.heapRef {
-		return len(e.events)
-	}
-	return e.w.n
-}
-
 // pushEvent files *ev into the engine's event queue.
 //
 //tg:hotpath
@@ -223,14 +215,6 @@ func (e *Engine) ScheduleCallAfter(d Time, h Handler, arg any, val float64) erro
 	return e.ScheduleCall(e.now+d, h, arg, val)
 }
 
-// ScheduleAfter runs fn after delay d (>= 0) from now.
-func (e *Engine) ScheduleAfter(d Time, fn func()) error {
-	if d < 0 {
-		return fmt.Errorf("sim: negative delay %v", d)
-	}
-	return e.Schedule(e.now+d, fn)
-}
-
 // Step executes the earliest pending event, advancing the clock to it.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
@@ -250,28 +234,12 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with time <= deadline, then sets the clock to
-// deadline if it is ahead of the last event.
-func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		ev := e.peekEvent()
-		if ev == nil || ev.at > deadline {
-			break
-		}
-		e.dispatch(ev)
-	}
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
-	}
-}
-
 // RunBefore executes events with time strictly before limit, leaving
-// later events queued. Unlike RunUntil it does not advance the clock to
-// the limit: the clock stays at the last executed event, so events a
-// shard coordinator delivers for the next window (all stamped >= limit)
-// can never land in this engine's past. It is the building block of the
-// conservative time-window protocol (ShardSet).
+// later events queued. It does not advance the clock to the limit: the
+// clock stays at the last executed event, so events a shard coordinator
+// delivers for the next window (all stamped >= limit) can never land in
+// this engine's past. It is the building block of the conservative
+// time-window protocol (ShardSet).
 //
 //tg:hotpath
 func (e *Engine) RunBefore(limit Time) {
@@ -285,7 +253,7 @@ func (e *Engine) RunBefore(limit Time) {
 	}
 }
 
-// Stop makes the current Run/RunUntil return after the executing event
+// Stop makes the current Run/RunBefore return after the executing event
 // completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 

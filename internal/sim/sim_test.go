@@ -5,6 +5,14 @@ import (
 	"testing/quick"
 )
 
+// pending counts the engine's scheduled events.
+func pending(e *Engine) int {
+	if e.heapRef {
+		return len(e.events)
+	}
+	return e.w.n
+}
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
@@ -52,8 +60,8 @@ func TestScheduleInPastFails(t *testing.T) {
 	if err := e.Schedule(5, func() {}); err == nil {
 		t.Error("Schedule in the past succeeded, want error")
 	}
-	if err := e.ScheduleAfter(-1, func() {}); err == nil {
-		t.Error("ScheduleAfter negative delay succeeded, want error")
+	if err := e.ScheduleCallAfter(-1, func(any, float64) {}, nil, 0); err == nil {
+		t.Error("ScheduleCallAfter negative delay succeeded, want error")
 	}
 	if err := e.Schedule(20, nil); err == nil {
 		t.Error("Schedule nil callback succeeded, want error")
@@ -64,8 +72,8 @@ func TestScheduleAfter(t *testing.T) {
 	e := NewEngine()
 	var at Time
 	if err := e.Schedule(10, func() {
-		if err := e.ScheduleAfter(5, func() { at = e.Now() }); err != nil {
-			t.Errorf("nested ScheduleAfter: %v", err)
+		if err := e.ScheduleCallAfter(5, func(any, float64) { at = e.Now() }, nil, 0); err != nil {
+			t.Errorf("nested ScheduleCallAfter: %v", err)
 		}
 	}); err != nil {
 		t.Fatalf("Schedule: %v", err)
@@ -73,31 +81,6 @@ func TestScheduleAfter(t *testing.T) {
 	e.Run()
 	if at != 15 {
 		t.Errorf("nested event ran at %v, want 15", at)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var ran []Time
-	for _, at := range []Time{1, 2, 3, 10} {
-		at := at
-		if err := e.Schedule(at, func() { ran = append(ran, at) }); err != nil {
-			t.Fatalf("Schedule: %v", err)
-		}
-	}
-	e.RunUntil(5)
-	if len(ran) != 3 {
-		t.Errorf("RunUntil(5) executed %d events, want 3", len(ran))
-	}
-	if e.Now() != 5 {
-		t.Errorf("Now() = %v, want 5 (advanced to deadline)", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending() = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if e.Now() != 10 || len(ran) != 4 {
-		t.Errorf("after Run: now=%v events=%d, want 10 and 4", e.Now(), len(ran))
 	}
 }
 
@@ -119,8 +102,8 @@ func TestStop(t *testing.T) {
 	if count != 3 {
 		t.Errorf("executed %d events before Stop, want 3", count)
 	}
-	if e.Pending() != 7 {
-		t.Errorf("Pending() = %d after Stop, want 7", e.Pending())
+	if n := pending(e); n != 7 {
+		t.Errorf("%d events pending after Stop, want 7", n)
 	}
 	// Run resumes after Stop.
 	e.Run()

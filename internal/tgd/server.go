@@ -246,10 +246,6 @@ func (d *Daemon) registerMetrics() error {
 // nowMs reads the daemon clock.
 func (d *Daemon) nowMs() float64 { return d.cfg.NowMs() }
 
-// Registry exposes the daemon's metric registry (for embedding tests and
-// shared exposition).
-func (d *Daemon) Registry() *obs.Registry { return d.reg }
-
 // Snapshot captures the live queue state and cumulative accounting.
 func (d *Daemon) Snapshot() Snapshot { return d.table.Snapshot(d.nowMs()) }
 

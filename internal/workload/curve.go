@@ -231,58 +231,6 @@ func (c FlashCrowdCurve) Mean() float64 {
 	return c.PeakRate
 }
 
-// OverlayCurve composes curves by pointwise sum — e.g. a diurnal SineCurve
-// plus a zero-base FlashCrowdCurve puts a flash sale on top of the daily
-// wave. Peak sums the component peaks (a valid, if loose, envelope).
-type OverlayCurve struct {
-	Curves []RateCurve
-}
-
-// Validate checks every component that can be validated.
-func (c OverlayCurve) Validate() error {
-	if len(c.Curves) == 0 {
-		return fmt.Errorf("workload: overlay needs at least one component curve")
-	}
-	for i, sub := range c.Curves {
-		if sub == nil {
-			return fmt.Errorf("workload: overlay component %d is nil", i)
-		}
-		if v, ok := sub.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
-				return fmt.Errorf("workload: overlay component %d: %w", i, err)
-			}
-		}
-	}
-	return nil
-}
-
-// At implements RateCurve.
-func (c OverlayCurve) At(t float64) float64 {
-	sum := 0.0
-	for _, sub := range c.Curves {
-		sum += sub.At(t)
-	}
-	return sum
-}
-
-// Peak implements RateCurve.
-func (c OverlayCurve) Peak() float64 {
-	sum := 0.0
-	for _, sub := range c.Curves {
-		sum += sub.Peak()
-	}
-	return sum
-}
-
-// Mean implements RateCurve.
-func (c OverlayCurve) Mean() float64 {
-	sum := 0.0
-	for _, sub := range c.Curves {
-		sum += sub.Mean()
-	}
-	return sum
-}
-
 // NewFlashCrowd is the convenience constructor for the flash-sale arrival
 // process: baseline `base` q/ms, ramping to `peak` q/ms at startMs over
 // rampMs, holding holdMs, decaying back over decayMs.

@@ -98,9 +98,6 @@ func TestCurveValidation(t *testing.T) {
 		FlashCrowdCurve{Base: 0, PeakRate: 1, RampMs: -1, HoldMs: 1},
 		FlashCrowdCurve{Base: 1, PeakRate: 1, HoldMs: 1},
 		SineCurve{Base: 1, Amplitude: 1, PeriodMs: 10},
-		OverlayCurve{},
-		OverlayCurve{Curves: []RateCurve{nil}},
-		OverlayCurve{Curves: []RateCurve{SineCurve{Base: -1, Amplitude: 0, PeriodMs: 1}}},
 	}
 	for i, c := range bad {
 		if _, err := NewModulated(c); err == nil {
@@ -133,34 +130,6 @@ func TestBurstConcentratesArrivals(t *testing.T) {
 	// Expected ~2000 in the pulse vs ~180 outside.
 	if in < 10*out {
 		t.Errorf("burst window arrivals %d not dominating baseline %d", in, out)
-	}
-}
-
-// TestOverlayComposition puts a zero-base flash pulse on a diurnal wave
-// and checks both structure (rate sums) and that the process samples.
-func TestOverlayComposition(t *testing.T) {
-	day := SineCurve{Base: 1, Amplitude: 0.5, PeriodMs: 2000}
-	flash := FlashCrowdCurve{Base: 0, PeakRate: 8, StartMs: 600, RampMs: 50, HoldMs: 100, DecayMs: 50}
-	ov := OverlayCurve{Curves: []RateCurve{day, flash}}
-	if got, want := ov.At(700), day.At(700)+8; math.Abs(got-want) > 1e-12 {
-		t.Errorf("overlay At(700) = %v, want %v", got, want)
-	}
-	if got, want := ov.Peak(), day.Peak()+8; got != want {
-		t.Errorf("overlay Peak() = %v, want %v", got, want)
-	}
-	m, err := NewModulated(ov)
-	if err != nil {
-		t.Fatalf("NewModulated: %v", err)
-	}
-	r := rand.New(rand.NewSource(11))
-	var at float64
-	n := 0
-	for at < 2000 {
-		at += m.NextGap(r)
-		n++
-	}
-	if n < 1000 {
-		t.Errorf("overlay process produced only %d arrivals over 2000 ms", n)
 	}
 }
 

@@ -155,35 +155,6 @@ func (w *Weighted) MeanTasks() float64 { return w.mean }
 // Max implements FanoutDist.
 func (w *Weighted) Max() int { return w.fanouts[len(w.fanouts)-1] }
 
-// NewEmpirical builds a fanout distribution from observed fanouts (e.g.
-// a production trace): each distinct fanout is weighted by its frequency.
-func NewEmpirical(observed []int) (*Weighted, error) {
-	if len(observed) == 0 {
-		return nil, fmt.Errorf("workload: empirical fanout needs observations")
-	}
-	counts := make(map[int]int)
-	for _, k := range observed {
-		if k < 1 {
-			return nil, fmt.Errorf("workload: observed fanout %d < 1", k)
-		}
-		counts[k]++
-	}
-	// Build the support in ascending fanout order: the CDF NewWeighted
-	// derives from it decides which fanout each uniform draw maps to, so
-	// map-ordered support would make the same seed sample different
-	// fanout sequences run to run.
-	fanouts := make([]int, 0, len(counts))
-	for k := range counts {
-		fanouts = append(fanouts, k)
-	}
-	sort.Ints(fanouts)
-	weights := make([]float64, 0, len(counts))
-	for _, k := range fanouts {
-		weights = append(weights, float64(counts[k]))
-	}
-	return NewWeighted(fanouts, weights)
-}
-
 // Zipf is a Zipf-distributed fanout over 1..N with exponent s, modelling
 // social-network-style fanout popularity (most queries touch few shards, a
 // few touch many). It extends the paper's coverage of P(kf) models.

@@ -109,28 +109,6 @@ func TestWeightedInvalid(t *testing.T) {
 	}
 }
 
-func TestEmpiricalFanout(t *testing.T) {
-	w, err := NewEmpirical([]int{1, 1, 1, 10, 10, 100})
-	if err != nil {
-		t.Fatalf("NewEmpirical: %v", err)
-	}
-	if got := w.Prob(1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("P(1) = %v, want 0.5", got)
-	}
-	if got := w.Prob(100); math.Abs(got-1.0/6) > 1e-12 {
-		t.Errorf("P(100) = %v, want 1/6", got)
-	}
-	if got := w.MeanTasks(); math.Abs(got-(3+20+100)/6.0) > 1e-12 {
-		t.Errorf("MeanTasks = %v", got)
-	}
-	if _, err := NewEmpirical(nil); err == nil {
-		t.Error("empty observations succeeded, want error")
-	}
-	if _, err := NewEmpirical([]int{0}); err == nil {
-		t.Error("zero fanout succeeded, want error")
-	}
-}
-
 func TestZipf(t *testing.T) {
 	z, err := NewZipf(10, 1.0)
 	if err != nil {
